@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 input error, 2 numerical failure, 3 config error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -488,22 +490,25 @@ def render_text(report: dict) -> str:
 
 def render_csv(report: dict) -> str:
     cfg = report["config"]
-    lines = [
+    out = io.StringIO()
+    out.write(
         f"# chainuq={report['version']} seed={cfg['seed']} draws={cfg['draws']} "
-        f"epsilon={cfg['epsilon_policy']} ci={cfg['ci_levels'][0]!r},{cfg['ci_levels'][1]!r}",
-        "label,mean,sd,median,ci_lower,ci_upper,point_estimate,visits,never_sampled",
-    ]
+        f"epsilon={cfg['epsilon_policy']} ci={cfg['ci_levels'][0]!r},{cfg['ci_levels'][1]!r}\n"
+        "label,mean,sd,median,ci_lower,ci_upper,point_estimate,visits,never_sampled\n"
+    )
+    # the writer quotes labels that hold a comma, quote or line break
+    writer = csv.writer(out, lineterminator="\n")
     for row in report["models"]:
         sd = "" if row["sd"] is None else repr(row["sd"])
-        lines.append(
-            f"{row['label']},{row['mean']!r},{sd},{row['median']!r},"
-            f"{row['ci_lower']!r},{row['ci_upper']!r},{row['point_estimate']!r},"
-            f"{row['visits']},{row['never_sampled']}"
-        )
+        writer.writerow([
+            row["label"], repr(row["mean"]), sd, repr(row["median"]),
+            repr(row["ci_lower"]), repr(row["ci_upper"]), repr(row["point_estimate"]),
+            row["visits"], row["never_sampled"],
+        ])
     ess = report["ess"]
     t_eff = "" if ess["t_eff"] is None else repr(ess["t_eff"])
-    lines.append(f"# ess t_eff={t_eff} t_raw={ess['t_raw']} prior_weight={ess['prior_weight']!r}")
-    return "\n".join(lines) + "\n"
+    out.write(f"# ess t_eff={t_eff} t_raw={ess['t_raw']} prior_weight={ess['prior_weight']!r}\n")
+    return out.getvalue()
 
 
 def _write_output(text: str, path: str) -> None:

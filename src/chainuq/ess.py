@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .dirichlet import DirichletFit, fit_dirichlet
 from .errors import EmptyChainError
@@ -59,7 +59,7 @@ class IidPosterior:
         out[n == 0] = 0.0
         out[n == total] = 1.0
         if interior.any():
-            out[interior] = beta_dist.ppf(q, n[interior], total - n[interior])
+            out[interior] = betaincinv(n[interior], total - n[interior], q)
         return out
 
 

@@ -9,8 +9,6 @@ tiny prior weights.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,12 +16,10 @@ import numpy as np
 
 from .chains import TransitionCounts
 from .errors import ConfigError, DegenerateRowError, NoUniqueStationaryError
-from .stationary import _solve_direct_stack, _stationary_core
-
-THREADS_ENV_VAR = "CHAINUQ_THREADS"
+from .stationary import REJECTED, _require_unique, _solve_stack
 
 # Draws per spawned RNG stream. Blocks are always generated whole, so the
-# layout depends on neither R nor the thread count.
+# layout does not depend on R.
 BLOCK_DRAWS = 256
 # Cap on the cells of one (B, I*, I*) block, so that large I* shrinks the
 # block instead of the memory growing as I*^2; below I* = 129 it never binds.
@@ -197,11 +193,6 @@ class _GammaPlan:
         return w / w.sum(axis=-1, keepdims=True)
 
 
-def _log_gamma_variates(rng: np.random.Generator, shapes: np.ndarray) -> np.ndarray:
-    """Logs of independent Gamma(shape, 1) variates, elementwise."""
-    return _GammaPlan(shapes).log_variates(rng)
-
-
 def sample_dirichlet(alpha, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Draw Dirichlet(alpha) samples via normalized gamma variates."""
     alpha = np.asarray(alpha, dtype=float)
@@ -209,13 +200,13 @@ def sample_dirichlet(alpha, n_samples: int, rng: np.random.Generator) -> np.ndar
     return _GammaPlan(np.array(shapes)).rows(rng)
 
 
-def _posterior_row_plan(counts: TransitionCounts, prior: PriorSpec) -> _GammaPlan:
-    """Gamma-shape plan for the row posteriors, with the zero-row guard."""
+def _posterior_shapes(counts: TransitionCounts, prior: PriorSpec) -> np.ndarray:
+    """Dirichlet shapes of the row posteriors, with the zero-row guard."""
     shapes = counts.counts + prior.resolve(counts.n_models)
     zero_rows = np.flatnonzero(~np.any(shapes > 0, axis=1))
     if zero_rows.size:
         raise DegenerateRowError(counts.labels[int(zero_rows[0])])
-    return _GammaPlan(shapes)
+    return shapes
 
 
 def sample_transition_matrix(
@@ -231,17 +222,7 @@ def sample_transition_matrix(
     DegenerateRowError
         If some row has neither counts nor prior weight anywhere.
     """
-    return _posterior_row_plan(counts, prior).rows(rng)
-
-
-def _worker_count(n_threads: int | None) -> int:
-    if n_threads is not None:
-        return max(1, int(n_threads))
-    env = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    return _GammaPlan(_posterior_shapes(counts, prior)).rows(rng)
 
 
 def _block_draws(n_models: int) -> int:
@@ -253,20 +234,19 @@ def draw_posterior(
     prior: PriorSpec | None = None,
     n_draws: int = 1000,
     seed: int = 0,
-    n_threads: int | None = None,
 ) -> PosteriorDraws:
     """Draw stationary-distribution samples from the transition-matrix posterior.
 
     Draws come in blocks of 256 (fewer only when I* > 128, to bound memory).
     Block k samples its transition matrices from its own RNG stream, spawned
     from ``seed`` by block index, and every block is generated whole before
-    the result is truncated to ``n_draws``. Each matrix is then mapped to its
-    stationary distribution by one stacked solve per block; a draw with a
-    zero entry, or whose solution fails the clamp and residual checks, goes
-    through the full per-draw solver instead. Hence results are a pure
-    function of ``(counts, prior, n_draws, seed)``, draw r is the same for
-    every ``n_draws > r`` (the prefix property), and neither depends on the
-    number of worker threads.
+    the result is truncated to ``n_draws``. Every matrix of a block, zero
+    entries included, is mapped to its stationary distribution by one stacked
+    solve. Uniqueness is decided once, before sampling, from the support of
+    the shapes ``counts + prior``: a draw's support is contained in it, and
+    dropping edges never lowers the number of closed classes. Hence results
+    are a pure function of ``(counts, prior, n_draws, seed)``, and draw r is
+    the same for every ``n_draws > r`` (the prefix property).
 
     Parameters
     ----------
@@ -278,16 +258,14 @@ def draw_posterior(
         use 5000 or more to approximate full densities.
     seed : int
         Root seed; recorded on the result.
-    n_threads : int, optional
-        Worker threads, each running whole blocks; defaults to the
-        CHAINUQ_THREADS environment variable (else 1).
 
     Raises
     ------
     DegenerateRowError
         Propagated from row sampling.
     NoUniqueStationaryError
-        Propagated from the stationary solve, with the draw index attached.
+        If the shape support has more than one closed class (reported as
+        draw 0), or a draw's solve is rejected; the message names the draw.
     """
     if n_draws < 1:
         raise ConfigError("n_draws must be at least 1")
@@ -295,34 +273,24 @@ def draw_posterior(
         prior = PriorSpec.default()
     prior_mass = float(prior.resolve(counts.n_models).sum())
     n = counts.n_models
-    plan = _posterior_row_plan(counts, prior)
+    shapes = _posterior_shapes(counts, prior)
+    if not (shapes > 0).all():
+        try:
+            _require_unique(shapes)
+        except NoUniqueStationaryError as exc:
+            raise NoUniqueStationaryError(f"draw 0: {exc}") from exc
+    plan = _GammaPlan(shapes)
     block = _block_draws(n)
     n_blocks = -(-n_draws // block)
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
     out = np.empty((n_draws, n))
-
-    def run(k: int) -> None:
+    for k in range(n_blocks):
         start = k * block
         p = plan.rows(np.random.default_rng(streams[k]), block)[: n_draws - start]
-        # draws with a zero entry need the per-draw support check
-        solved = np.flatnonzero((p > 0).all(axis=(1, 2)))
-        pi, ok = _solve_direct_stack(p[solved])
-        solved = solved[ok]
-        out[start + solved] = pi[ok]
-        for i in np.setdiff1d(np.arange(len(p)), solved):
-            try:
-                out[start + i] = _stationary_core(p[i])
-            except NoUniqueStationaryError as exc:
-                raise NoUniqueStationaryError(f"draw {start + i}: {exc}") from exc
-
-    workers = _worker_count(n_threads)
-    if workers == 1 or n_blocks == 1:
-        for k in range(n_blocks):
-            run(k)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # consume the iterator to surface worker exceptions
-            list(pool.map(run, range(n_blocks)))
+        pi, ok = _solve_stack(p)
+        if not ok.all():
+            raise NoUniqueStationaryError(f"draw {start + int(np.argmin(ok))}: {REJECTED}")
+        out[start : start + len(p)] = pi
     return PosteriorDraws(
         draws=out, seed=int(seed), prior=prior, source=counts, prior_mass=prior_mass
     )

@@ -2,8 +2,10 @@
 
 The stationary vector is the normalized left eigenvector with eigenvalue one.
 It is computed by a direct linear solve of the balance equations with one row
-replaced by the normalization constraint; an averaged power iteration serves
-as fallback when the solve is ill-conditioned.
+replaced by the normalization constraint. The same stacked solve serves a single
+matrix and a block of posterior draws; a solution that is not finite, has a
+clearly negative entry, or misses the residual tolerance is rejected, never
+repaired.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -20,7 +21,9 @@ from .errors import NonStochasticError, NoUniqueStationaryError
 ROW_SUM_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 NEGATIVE_CLAMP = 1e-12
-MIN_RCOND = 1e-12  # fall back when estimated condition number exceeds 1e12
+REJECTED = (
+    "failed to resolve the stationary distribution to the required residual tolerance"
+)
 
 
 @dataclass(frozen=True)
@@ -73,67 +76,34 @@ def _validated(matrix) -> np.ndarray:
     return p
 
 
-def _residual(pi: np.ndarray, p: np.ndarray) -> float:
-    return float(np.abs(pi @ p - pi).max())
+def _require_unique(support) -> None:
+    """Raise unless the support graph of ``support`` has one closed class.
 
-
-def _finalize(x: np.ndarray) -> np.ndarray | None:
-    """Clamp eigenvector rounding noise and normalize, or reject."""
-    if not np.isfinite(x).all():
-        return None
-    low = x.min()
-    if low < -NEGATIVE_CLAMP:
-        return None
-    if low < 0:
-        x = np.where(x < 0, 0.0, x)
-    total = x.sum()
-    if total <= 0:
-        return None
-    return x / total
-
-
-def _solve_direct(p: np.ndarray) -> np.ndarray | None:
-    """Solve (P^T - I) x = 0 with the last equation replaced by sum(x) = 1.
-
-    The replaced equation is redundant (columns of P^T - I sum to zero), so
-    the system is nonsingular exactly when the stationary vector is unique.
-    A plain solve is attempted first and kept when its stationarity residual
-    is good; otherwise the system is refactored with a condition estimate,
-    and an estimated condition number above 1e12 defers to the fallback.
+    Raises
+    ------
+    NoUniqueStationaryError
+        If more than one communicating class is closed.
     """
-    n = p.shape[0]
-    a = p.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = _finalize(np.linalg.solve(a, b))
-        if pi is not None and _residual(pi, p) <= RESIDUAL_TOL:
-            return pi
-    except np.linalg.LinAlgError:
-        pass
-    anorm = np.abs(a).sum(axis=0).max()  # 1-norm, needed by gecon
-    try:
-        lu, piv = lu_factor(a)
-    except np.linalg.LinAlgError:
-        return None
-    (gecon,) = get_lapack_funcs(("gecon",), (a,))
-    rcond, info = gecon(lu, anorm)
-    if info != 0 or not np.isfinite(rcond) or rcond < MIN_RCOND:
-        return None
-    pi = _finalize(lu_solve((lu, piv), b))
-    if pi is None or _residual(pi, p) > RESIDUAL_TOL:
-        return None
-    return pi
+    n_closed = classify_support(support).n_closed
+    if n_closed != 1:
+        raise NoUniqueStationaryError(
+            f"support graph has {n_closed} closed communicating "
+            "classes; the stationary distribution is not unique"
+        )
 
 
-def _solve_direct_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The plain solve of ``_solve_direct`` over a stack of matrices at once.
+def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary vectors of a stack of row-stochastic matrices.
 
-    ``p`` has shape (B, I, I). Returns ``(pi, ok)``: ``pi[i]`` is the
-    finalized solution for ``p[i]``, kept only where ``ok[i]``, i.e. where it
-    passes ``_finalize``'s clamp/reject rule and the residual tolerance.
-    A singular matrix anywhere in the stack rejects the whole stack.
+    Each matrix is solved as (P^T - I) x = 0 with the last equation replaced by
+    sum(x) = 1. The replaced equation is redundant (columns of P^T - I sum to
+    zero), so the system is nonsingular exactly when the stationary vector is
+    unique. ``p`` has shape (B, I, I). Returns ``(pi, ok)``: ``pi[i]`` is the
+    normalized solution for ``p[i]``, valid only where ``ok[i]``, i.e. where it
+    is finite, no entry is below -1e-12 (smaller negatives are clamped to 0),
+    its total is positive and its residual is within 1e-8. When the stack is
+    singular, its members are solved one at a time and the singular ones are
+    rejected.
     """
     b, n, _ = p.shape
     a = np.swapaxes(p, 1, 2) - np.eye(n)
@@ -143,7 +113,12 @@ def _solve_direct_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         x = np.linalg.solve(a, rhs)[..., 0]
     except np.linalg.LinAlgError:
-        return np.empty((b, n)), np.zeros(b, dtype=bool)
+        x = np.full((b, n), np.nan)
+        for i in range(b):
+            try:
+                x[i] = np.linalg.solve(a[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
     with np.errstate(invalid="ignore", divide="ignore"):
         ok = np.isfinite(x).all(axis=1) & (x.min(axis=1) >= -NEGATIVE_CLAMP)
         x = np.where(x < 0, 0.0, x)
@@ -153,47 +128,6 @@ def _solve_direct_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         residual = np.abs((pi[:, None, :] @ p)[:, 0, :] - pi).max(axis=1)
     ok &= residual <= RESIDUAL_TOL
     return pi, ok
-
-
-def _power_averaged(p: np.ndarray, max_iter: int = 200_000) -> np.ndarray | None:
-    """Power iteration with iterate averaging.
-
-    Each step averages the current iterate with its image, x <- (x + xP) / 2,
-    which keeps periodic supports converging while preserving the fixed point.
-    """
-    n = p.shape[0]
-    x = np.full(n, 1.0 / n)
-    for k in range(max_iter):
-        x_new = 0.5 * (x + x @ p)
-        x_new /= x_new.sum()
-        if k % 32 == 31 and _residual(x_new, p) <= RESIDUAL_TOL:
-            return _finalize(x_new)
-        x = x_new
-    return None
-
-
-def _stationary_core(p: np.ndarray) -> np.ndarray:
-    """Solver body; assumes the row-stochastic contract already holds."""
-    n = p.shape[0]
-    if n == 1:
-        return np.ones(1)
-    # strictly positive matrices are irreducible; only check sparser supports
-    if not (p > 0).all():
-        support = classify_support(p)
-        if support.n_closed != 1:
-            raise NoUniqueStationaryError(
-                f"support graph has {support.n_closed} closed communicating "
-                "classes; the stationary distribution is not unique"
-            )
-    pi = _solve_direct(p)  # residual-checked internally
-    if pi is None:
-        pi = _power_averaged(p)
-        if pi is None or _residual(pi, p) > RESIDUAL_TOL:
-            raise NoUniqueStationaryError(
-                "failed to resolve the stationary distribution to the required "
-                "residual tolerance"
-            )
-    return pi
 
 
 def stationary(matrix) -> np.ndarray:
@@ -216,6 +150,13 @@ def stationary(matrix) -> np.ndarray:
         If the matrix violates the row-stochastic contract.
     NoUniqueStationaryError
         If the support graph has more than one closed communicating class,
-        or the vector could not be resolved numerically.
+        or the solve is rejected.
     """
-    return _stationary_core(_validated(matrix))
+    p = _validated(matrix)
+    # strictly positive matrices are irreducible; only check sparser supports
+    if not (p > 0).all():
+        _require_unique(p)
+    pi, ok = _solve_stack(p[None])
+    if not ok[0]:
+        raise NoUniqueStationaryError(REJECTED)
+    return pi[0]

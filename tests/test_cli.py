@@ -1,8 +1,14 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainuq
 from chainuq.cli import main
 
 
@@ -171,6 +177,18 @@ def test_output_file_and_csv_format(chain_file, tmp_path, capsys):
     assert len([l for l in lines if not l.startswith("#")]) == 3  # header + 2 models
 
 
+def test_csv_output_quotes_labels_with_commas(tmp_path, capsys):
+    chain = tmp_path / "chain.txt"
+    chain.write_text("a,b\nc\nc\na,b\nc\na,b\n" * 5, encoding="utf-8")
+    code = main(["analyze", "--input", str(chain), "--seed", "1", "--draws", "100",
+                 "--out-format", "csv"])
+    assert code == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    rows = list(csv.reader(lines))
+    assert {len(row) for row in rows} == {len(rows[0])}
+    assert sorted(row[0] for row in rows[1:]) == ["a,b", "c"]
+
+
 def test_matrix_epsilon_policy(tmp_path, chain_file, capsys):
     weights = tmp_path / "eps.csv"
     weights.write_text("0.5,0.5\n0.5,0.5\n", encoding="utf-8")
@@ -209,3 +227,13 @@ def test_bench_identical_seed_is_byte_identical(tmp_path, capsys):
 
 def test_bench_bad_pi_exits_3(capsys):
     assert main(["bench", "--pi", "0.7,0.7"]) == 3
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats roughly doubles the CLI's cold start; nothing on the CLI path needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(chainuq.__file__).parents[1]))
+    code = "import chainuq.cli, sys; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -163,25 +163,15 @@ def test_draws_independent_of_total_count():
     assert np.array_equal(d1.draws, d2.draws[:64])
 
 
-def test_large_model_blocks_keep_prefix_and_thread_independence():
+def test_large_model_blocks_keep_prefix():
     # at I* = 150 a block holds fewer than 256 draws; the prefix property
-    # and thread independence must hold across its block boundaries
+    # must hold across its block boundaries
     rng = np.random.default_rng(3)
     counts = make_counts(rng.integers(1, 5, size=(150, 150)))
     d1 = draw_posterior(counts, n_draws=190, seed=2)
-    d2 = draw_posterior(counts, n_draws=400, seed=2, n_threads=2)
+    d2 = draw_posterior(counts, n_draws=400, seed=2)
     assert np.array_equal(d1.draws, d2.draws[:190])
     assert np.abs(d2.draws.sum(axis=1) - 1.0).max() <= 1e-12
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    counts = make_counts([[12, 4, 1], [3, 20, 2], [2, 2, 15]])
-    sequential = draw_posterior(counts, n_draws=200, seed=5, n_threads=1)
-    threaded = draw_posterior(counts, n_draws=200, seed=5, n_threads=4)
-    assert np.array_equal(sequential.draws, threaded.draws)
-    monkeypatch.setenv("CHAINUQ_THREADS", "3")
-    from_env = draw_posterior(counts, n_draws=200, seed=5)
-    assert np.array_equal(sequential.draws, from_env.draws)
 
 
 def test_reducible_counts_with_zero_prior_raise_with_draw_index():
@@ -189,6 +179,13 @@ def test_reducible_counts_with_zero_prior_raise_with_draw_index():
     with pytest.raises(NoUniqueStationaryError) as err:
         draw_posterior(counts, PriorSpec.fixed(0.0), n_draws=3, seed=0)
     assert "draw 0" in str(err.value)
+
+
+def test_transient_model_gets_zero_mass_in_every_draw():
+    # model 1 leaks into model 2, which never leaves: one closed class {2}
+    counts = make_counts([[3, 1], [0, 3]])
+    draws = draw_posterior(counts, PriorSpec.fixed(0.0), n_draws=300, seed=4)
+    assert np.array_equal(draws.draws, np.tile([0.0, 1.0], (300, 1)))
 
 
 @settings(max_examples=10)

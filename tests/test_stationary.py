@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chainuq.errors import NonStochasticError, NoUniqueStationaryError
-from chainuq.stationary import _power_averaged, classify_support, stationary
+from chainuq.stationary import _solve_stack, classify_support, stationary
 
 
 def power_iteration_oracle(p, tol=1e-13, max_iter=500_000):
@@ -131,12 +131,14 @@ def test_residual_and_simplex_invariants(seed, n):
     assert pi.min() >= 0.0
 
 
-def test_averaged_power_handles_periodic_support():
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    pi = _power_averaged(swap)
-    assert np.allclose(pi, [0.5, 0.5], atol=1e-8)
-
-
 def test_periodic_chain_through_main_entry():
     pi = stationary([[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(pi, [0.5, 0.5], atol=1e-10)
+
+
+def test_singular_member_does_not_reject_the_stack():
+    good = np.array([[0.9, 0.1], [0.3, 0.7]])
+    pi, ok = _solve_stack(np.stack([np.eye(2), good, np.eye(2)]))
+    assert ok.tolist() == [False, True, False]
+    assert np.array_equal(pi[1], stationary(good))
+    assert np.allclose(pi[1], [0.75, 0.25], atol=1e-14)
