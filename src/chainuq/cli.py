@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .errors import (
 )
 from .ess import effective_sample_size
 from .sampling import PriorSpec, draw_posterior, point_estimate
+from .stationary import classify_support
 from .summaries import bayes_factors, rank_stability, subset_probability, summarize
 
 INPUT_ERRORS = (
@@ -56,25 +56,6 @@ NUMERICAL_ERRORS = (
     DegenerateSamplesError,
 )
 CONFIG_ERRORS = (ConfigError, LabelError)
-
-
-@dataclass
-class RunConfig:
-    """Validated configuration of one analyze run."""
-
-    inputs: list
-    input_format: str | None
-    epsilon_text: str
-    prior: PriorSpec
-    n_draws: int
-    seed: int
-    levels: tuple
-    k_top: int | None
-    subsets: list = field(default_factory=list)
-    bf_pairs: list = field(default_factory=list)
-    declared: list = field(default_factory=list)
-    out: str = "-"
-    out_format: str = "text"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--epsilon", default="default_reduced", metavar="POLICY",
                     help="prior policy: default_reduced | fixed:<value> | matrix:<path>")
     an.add_argument("--draws", type=int, default=1000, metavar="R",
-                    help="posterior draws (default 1000; use >= 5000 for densities)")
+                    help="posterior draws, at least 2 (default 1000; use >= 5000 for densities)")
     an.add_argument("--seed", type=int, default=None,
                     help="RNG seed (default: fresh entropy, recorded in the report)")
     an.add_argument("--ci", default="0.05,0.95", metavar="LO,HI",
@@ -187,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="autocorrelation levels to sweep")
     be.add_argument("--iterations", type=int, default=1000, metavar="T")
     be.add_argument("--replications", type=int, default=200)
-    be.add_argument("--draws", type=int, default=1000, metavar="R")
+    be.add_argument("--draws", type=int, default=1000, metavar="R",
+                    help="posterior draws per replication, at least 2 (default 1000)")
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--ci", default="0.05,0.95", metavar="LO,HI")
     be.add_argument("--out", default="coverage", metavar="PREFIX",
@@ -243,6 +225,17 @@ def analyze_chains(
         warnings.append({
             "code": "insufficient_draws_for_sd",
             "message": "fewer than two draws; standard deviations are undefined",
+        })
+    # models with an observed outgoing move; a model seen only at a chain's
+    # end would otherwise form a closed class of its own
+    left = counts.counts.sum(axis=1) > 0
+    if classify_support(counts.counts[np.ix_(left, left)]).n_closed > 1:
+        warnings.append({
+            "code": "disconnected_chains",
+            "message": (
+                "the observed transitions split the models into more than one "
+                "closed class; probabilities across the classes rest on the prior alone"
+            ),
         })
 
     rank_report = None
@@ -519,57 +512,44 @@ def _write_output(text: str, path: str) -> None:
             fh.write(text)
 
 
-def _config_from_args(args) -> RunConfig:
-    if args.draws < 1:
-        raise ConfigError("--draws must be at least 1")
+def _run_analyze(args) -> int:
+    # every flag is parsed before any input is read, so a bad flag exits 3 first
+    if args.draws < 2:
+        raise ConfigError("--draws must be at least 2; the ESS fit needs two draws")
+    if args.top_k is not None and args.top_k < 1:
+        raise ConfigError("--top-k must be at least 1")
     seed = args.seed
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
-    if args.top_k is not None and args.top_k < 1:
-        raise ConfigError("--top-k must be at least 1")
-    return RunConfig(
-        inputs=list(args.input),
-        input_format=args.format,
-        epsilon_text=args.epsilon,
-        prior=_parse_epsilon(args.epsilon),
-        n_draws=args.draws,
-        seed=seed,
-        levels=_parse_ci(args.ci),
-        k_top=args.top_k,
-        subsets=[_parse_subset(s, i + 1) for i, s in enumerate(args.subset)],
-        bf_pairs=[_parse_pair(p) for p in args.bf],
-        declared=_parse_labels(args.declared),
-        out=args.out,
-        out_format=args.out_format,
-    )
-
-
-def _run_analyze(args) -> int:
-    config = _config_from_args(args)
+    prior = _parse_epsilon(args.epsilon)
+    levels = _parse_ci(args.ci)
+    subsets = [_parse_subset(s, i + 1) for i, s in enumerate(args.subset)]
+    bf_pairs = [_parse_pair(p) for p in args.bf]
+    declared = _parse_labels(args.declared)
     chains = []
-    for path in config.inputs:
-        chains.extend(read_chain_file(path, config.input_format))
+    for path in args.input:
+        chains.extend(read_chain_file(path, args.format))
     report = analyze_chains(
         chains,
-        prior=config.prior,
-        n_draws=config.n_draws,
-        seed=config.seed,
-        levels=config.levels,
-        k_top=config.k_top,
-        subsets=config.subsets,
-        bf_pairs=config.bf_pairs,
-        declared=config.declared,
-        epsilon_text=config.epsilon_text,
-        inputs=config.inputs,
-        input_format=config.input_format,
+        prior=prior,
+        n_draws=args.draws,
+        seed=seed,
+        levels=levels,
+        k_top=args.top_k,
+        subsets=subsets,
+        bf_pairs=bf_pairs,
+        declared=declared,
+        epsilon_text=args.epsilon,
+        inputs=args.input,
+        input_format=args.format,
     )
-    if config.out_format == "json":
+    if args.out_format == "json":
         text = json.dumps(report, indent=2) + "\n"
-    elif config.out_format == "csv":
+    elif args.out_format == "csv":
         text = render_csv(report)
     else:
         text = render_text(report)
-    _write_output(text, config.out)
+    _write_output(text, args.out)
     return 0
 
 
@@ -580,8 +560,8 @@ def _run_bench(args) -> int:
         raise ConfigError(f"--pi must be a probability vector summing to 1, got {args.pi!r}")
     if not betas or any(not 0.0 <= b <= 1.0 for b in betas):
         raise ConfigError(f"--beta-grid values must lie in [0, 1], got {args.beta_grid!r}")
-    if args.iterations < 2 or args.replications < 1 or args.draws < 1:
-        raise ConfigError("--iterations must be >= 2, --replications and --draws >= 1")
+    if args.iterations < 2 or args.replications < 1 or args.draws < 2:
+        raise ConfigError("--iterations and --draws must be >= 2, --replications >= 1")
     result = run_coverage_experiment(
         pi,
         betas,

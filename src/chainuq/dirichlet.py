@@ -1,5 +1,9 @@
 """Digamma-family special functions and Dirichlet maximum-likelihood fitting.
 
+``digamma`` and ``trigamma`` are domain-checked wrappers of
+``scipy.special.psi`` and ``scipy.special.zeta(2, x)``; ``inverse_digamma``
+inverts digamma by Newton's method.
+
 The fitter is built around the fixed-point update of Minka (2000),
 "Estimating a Dirichlet distribution": each sweep solves
 
@@ -18,102 +22,49 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, psi, zeta
 
 from .errors import DegenerateSamplesError, DomainError
 
-EULER_GAMMA = 0.57721566490153286060
 SAMPLE_CLAMP = 1e-300  # floor applied to sample entries before taking logs
 
-_ASYMPTOTIC_CUTOFF = 10.0
-# Bernoulli-number coefficients of the asymptotic series:
-# psi(x) ~ ln x - 1/(2x) - sum_k B_2k / (2k x^(2k))
-_DIGAMMA_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-)
-# psi1(x) ~ 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1)
-_TRIGAMMA_COEFFS = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-)
 
-
-def _psi_psi1_unchecked(x: np.ndarray):
-    """Digamma and trigamma together, sharing one recurrence shift.
-
-    The upward shift needs at most ceil(cutoff) sweeps since x > 0.
-    """
-    x = np.asarray(x, dtype=float).copy()
-    acc1 = np.zeros_like(x)
-    acc2 = np.zeros_like(x)
-    for _ in range(int(_ASYMPTOTIC_CUTOFF)):
-        mask = x < _ASYMPTOTIC_CUTOFF
-        if not mask.any():
-            break
-        inv = np.where(mask, 1.0 / x, 0.0)
-        acc1 += inv
-        acc2 += inv * inv
-        x += mask
-    inv = 1.0 / x
-    inv2 = inv * inv
-    series = np.zeros_like(x)
-    for c in reversed(_DIGAMMA_COEFFS):
-        series = (series + c) * inv2
-    psi = np.log(x) - 0.5 * inv - series - acc1
-    series = np.zeros_like(x)
-    for c in reversed(_TRIGAMMA_COEFFS):
-        series = (series + c) * inv2
-    psi1 = inv + 0.5 * inv2 + inv * series + acc2
-    return psi, psi1
-
-
-def _check_domain(x, name):
+def _elementwise(f, x, name):
+    """Apply ``f`` to x > 0: a Python scalar gives a float, anything else an array."""
+    scalar = np.isscalar(x)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(~np.isfinite(x)) or np.any(x <= 0):
         raise DomainError(f"{name} requires strictly positive finite arguments")
+    value = f(x)
+    return float(value[0]) if scalar else value
 
 
 def digamma(x):
-    """Digamma function for x > 0, scalar or array.
-
-    Computed by upward recurrence into the asymptotic regime followed by the
-    Bernoulli series; absolute accuracy is near machine precision for
-    moderate arguments.
+    """Digamma function for x > 0, scalar or array (``scipy.special.psi``).
 
     Raises
     ------
     DomainError
         For any argument <= 0 (or non-finite).
     """
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_domain(x, "digamma")
-    value = _psi_psi1_unchecked(x)[0]
-    return float(value[0]) if scalar else value
+    return _elementwise(psi, x, "digamma")
 
 
 def trigamma(x):
-    """First derivative of digamma for x > 0, scalar or array."""
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_domain(x, "trigamma")
-    value = _psi_psi1_unchecked(x)[1]
-    return float(value[0]) if scalar else value
+    """First derivative of digamma for x > 0, scalar or array (``zeta(2, x)``)."""
+    return _elementwise(lambda v: zeta(2, v), x, "trigamma")
 
 
-def _newton_steps(y: np.ndarray, x: np.ndarray, steps: int) -> np.ndarray:
-    for _ in range(steps):
-        psi, psi1 = _psi_psi1_unchecked(x)
-        x_new = x - (psi - y) / psi1
+def _invert_digamma(y: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Solve digamma(x) = y by Newton from ``start``, to full precision."""
+    x = np.maximum(np.asarray(start, dtype=float), np.finfo(float).tiny)
+    for _ in range(40):
+        step = (psi(x) - y) / zeta(2, x)
+        x_new = x - step
         # Newton can only overshoot below zero from a poor start; halve instead
         x = np.where(x_new > 0, x_new, x / 2.0)
+        if np.abs(step).max() <= 1e-13 * max(1.0, np.abs(x).max()):
+            break
     return x
 
 
@@ -121,31 +72,17 @@ def inverse_digamma(y):
     """Inverse of digamma on (0, inf), scalar or array.
 
     Newton's method from the standard two-branch initializer: exp(y) + 1/2
-    for y >= -2.22 and -1/(y + EULER_GAMMA) below. Five iterations reach
-    round-trip accuracy well under 1e-10.
+    for y >= -2.22 and -1/(y + euler_gamma) below, iterated to full
+    precision (round-trip accuracy well under 1e-10).
     """
     scalar = np.isscalar(y)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     with np.errstate(over="ignore", divide="ignore"):
         x = np.where(
-            y >= -2.22, np.exp(np.minimum(y, 700.0)) + 0.5, -1.0 / (y + EULER_GAMMA)
+            y >= -2.22, np.exp(np.minimum(y, 700.0)) + 0.5, -1.0 / (y + np.euler_gamma)
         )
-    x = np.maximum(x, np.finfo(float).tiny)
-    x = _newton_steps(y, x, steps=5)
+    x = _invert_digamma(y, start=x)
     return float(x[0]) if scalar else x
-
-
-def _invert_digamma_warm(y: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Solve digamma(x) = y by Newton from a warm start, to full precision."""
-    x = np.maximum(np.asarray(start, dtype=float), np.finfo(float).tiny)
-    for _ in range(40):
-        psi, psi1 = _psi_psi1_unchecked(x)
-        step = (psi - y) / psi1
-        x_new = x - step
-        x = np.where(x_new > 0, x_new, x / 2.0)
-        if np.abs(step).max() <= 1e-13 * max(1.0, np.abs(x).max()):
-            break
-    return x
 
 
 @dataclass
@@ -208,10 +145,7 @@ def _accelerated_total(alpha, alpha_next):
     """
     s = alpha.sum()
     g = alpha_next.sum()
-    slope = float(
-        _psi_psi1_unchecked(np.atleast_1d(s))[1][0]
-        * (1.0 / _psi_psi1_unchecked(alpha_next)[1]).sum()
-    )
+    slope = float(zeta(2, s) * (1.0 / zeta(2, alpha_next)).sum())
     if not np.isfinite(slope) or not 0.0 < slope < 1.0 - 1e-12:
         return None
     s_acc = s + (g - s) / (1.0 - slope)
@@ -266,8 +200,8 @@ def fit_dirichlet(samples, tolerance: float = 1e-8, max_iter: int = 10_000) -> D
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        target = _psi_psi1_unchecked(np.atleast_1d(alpha.sum()))[0][0] + mean_log
-        alpha_next = _invert_digamma_warm(target, start=alpha)
+        target = psi(alpha.sum()) + mean_log
+        alpha_next = _invert_digamma(target, start=alpha)
         if not np.all(np.isfinite(alpha_next)) or not np.all(alpha_next > 0):
             iterations -= 1
             break
@@ -282,8 +216,8 @@ def fit_dirichlet(samples, tolerance: float = 1e-8, max_iter: int = 10_000) -> D
         ll_next = _log_likelihood(alpha_next, mean_log, n_samples)
         s_acc = _accelerated_total(alpha, alpha_next)
         if s_acc is not None:
-            target_acc = _psi_psi1_unchecked(np.atleast_1d(s_acc))[0][0] + mean_log
-            candidate = _invert_digamma_warm(target_acc, start=alpha_next)
+            target_acc = psi(s_acc) + mean_log
+            candidate = _invert_digamma(target_acc, start=alpha_next)
             if np.all(np.isfinite(candidate)) and np.all(candidate > 0):
                 ll_cand = _log_likelihood(candidate, mean_log, n_samples)
                 if ll_cand >= ll_next:

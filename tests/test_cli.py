@@ -91,6 +91,16 @@ def test_bad_draws_exits_3(chain_file):
     assert main(["analyze", "--input", str(chain_file), "--draws", "0"]) == 3
 
 
+def test_analyze_single_draw_exits_3(chain_file, capsys):
+    assert main(["analyze", "--input", str(chain_file), "--draws", "1"]) == 3
+    assert "--draws" in capsys.readouterr().err
+
+
+def test_bench_single_draw_exits_3(tmp_path, capsys):
+    assert main(["bench", "--draws", "1", "--out", str(tmp_path / "cov")]) == 3
+    assert "--draws" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_3(chain_file):
     assert main(["analyze", "--input", str(chain_file), "--bogus"]) == 3
 
@@ -116,6 +126,25 @@ def test_single_model_chain_report(tmp_path, capsys):
     assert row["sd"] == 0.0
     assert report["ess"]["t_eff"] is None
     assert any(w["code"] == "single_model_chain" for w in report["warnings"])
+
+
+def _warning_codes(capsys, tmp_path, *chains):
+    args = ["analyze", "--seed", "1", "--draws", "200"]
+    for i, text in enumerate(chains):
+        path = tmp_path / f"chain{i}.txt"
+        path.write_text(text, encoding="utf-8")
+        args += ["--input", str(path)]
+    return [w["code"] for w in run_json(capsys, args)["warnings"]]
+
+
+def test_chains_that_never_meet_warn(tmp_path, capsys):
+    codes = _warning_codes(capsys, tmp_path, "A\nB\nA\nB\n", "C\nD\nC\nD\n")
+    assert "disconnected_chains" in codes
+
+
+def test_chains_ending_in_fresh_models_do_not_warn(tmp_path, capsys):
+    codes = _warning_codes(capsys, tmp_path, "A\nB\nA\nX\n", "A\nB\nA\nY\n")
+    assert "disconnected_chains" not in codes
 
 
 def test_declared_models_reported_with_flag(chain_file, capsys):

@@ -46,10 +46,20 @@ def test_trigamma_matches_high_precision_reference():
         assert abs(value - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
-def test_digamma_rejects_nonpositive():
+@pytest.mark.parametrize("function", [digamma, trigamma], ids=["digamma", "trigamma"])
+def test_digamma_rejects_nonpositive(function):
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(DomainError):
-            digamma(bad)
+            function(bad)
+
+
+def test_scalar_gives_float_and_sequence_gives_array_of_same_shape():
+    for function, arg in ((digamma, 2.5), (trigamma, 2.5), (inverse_digamma, 0.3)):
+        assert type(function(arg)) is float
+        for seq in ([arg, arg], np.full((2, 3), arg)):
+            out = function(seq)
+            assert isinstance(out, np.ndarray)
+            assert out.shape == np.shape(seq)
 
 
 def test_inverse_digamma_round_trip():
