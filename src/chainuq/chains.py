@@ -8,8 +8,11 @@ values, so every downstream computation is invariant under relabeling.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -103,20 +106,17 @@ def index_chain(raw) -> LabeledChain:
     """Index a raw label sequence by first appearance.
 
     ``["B", "A", "B"]`` maps B -> 0 and A -> 1 because B is seen first.
+    ``raw`` may be any iterable, a one-shot generator included.
 
     Raises
     ------
     EmptyChainError
         If the sequence contains no labels.
     """
-    seq = list(raw)
-    if not seq:
-        raise EmptyChainError("cannot index an empty chain")
     order: dict = {}
-    for lab in seq:
-        if lab not in order:
-            order[lab] = len(order)
-    indices = np.fromiter((order[lab] for lab in seq), dtype=np.intp, count=len(seq))
+    indices = np.fromiter((order.setdefault(lab, len(order)) for lab in raw), dtype=np.intp)
+    if not indices.size:
+        raise EmptyChainError("cannot index an empty chain")
     return LabeledChain(labels=tuple(order), indices=indices)
 
 
@@ -191,6 +191,8 @@ def read_chain_file(path, fmt: str | None = None) -> list[LabeledChain]:
     CSV requires a header with a ``label`` column and may carry ``chain_id``
     (several chains per file) and ``iteration`` (validated to be consecutive
     integers within each chain; gaps are rejected rather than guessed over).
+    Blank lines are skipped, a row with fewer fields than the header is
+    rejected, and errors name the physical line of the file.
 
     Parameters
     ----------
@@ -218,34 +220,99 @@ def _read_lines(path: Path) -> LabeledChain:
 
 
 def _read_csv(path: Path) -> list[LabeledChain]:
+    # One pass keeps two integers per row: the code of its distinct
+    # (chain_id, raw label) pair and its iteration. Labels are then stripped
+    # and indexed once per pair, and the row checks run as array operations.
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "label" not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        column = {name: i for i, name in enumerate(header)}  # last duplicate wins
+        if "label" not in column:
             raise ChainFileError(f"{path}: CSV must have a 'label' column")
-        has_chain = "chain_id" in reader.fieldnames
-        has_iter = "iteration" in reader.fieldnames
-        sequences: dict = {}
-        last_iter: dict = {}
-        for lineno, row in enumerate(reader, start=2):
-            label = row["label"]
-            if label is None or label.strip() == "":
-                raise ChainFileError(f"{path}:{lineno}: empty label")
-            cid = row["chain_id"] if has_chain else ""
-            if has_iter:
+        label_col = column["label"]
+        iter_col, chain_col = column.get("iteration"), column.get("chain_id")
+        key = itemgetter(label_col) if chain_col is None else itemgetter(chain_col, label_col)
+        pairs: dict = {}
+        codes, iters = array("q"), array("q")
+        add_code, add_iter, code_of = codes.append, iters.append, pairs.setdefault
+        for row in reader:
+            if len(row) < len(header):
+                if row:
+                    break
+                continue  # blank line
+            if iter_col is not None:
                 try:
-                    it = int(row["iteration"])
-                except (TypeError, ValueError):
-                    raise ChainFileError(
-                        f"{path}:{lineno}: iteration is not an integer"
-                    ) from None
-                prev = last_iter.get(cid)
-                if prev is not None and it != prev + 1:
-                    raise ChainFileError(
-                        f"{path}:{lineno}: iteration {it} does not follow "
-                        f"{prev} consecutively in chain {cid!r}"
-                    )
-                last_iter[cid] = it
-            sequences.setdefault(cid, []).append(label.strip())
-    if not sequences:
+                    add_iter(int(row[iter_col]))
+                except (ValueError, OverflowError):
+                    break
+            add_code(code_of(key(row), len(pairs)))
+        else:
+            row = None  # every row was stored
+    if not codes and row is None:
         raise EmptyChainError(f"{path}: no rows found")
-    return [index_chain(seq) for seq in sequences.values()]
+
+    # per pair: its chain and its stripped label's index in that chain, both
+    # by first appearance, and whether the stripped label is empty
+    chains: dict = {}  # raw chain_id -> (chain index, {stripped label: index})
+    per_pair = []
+    for pair in pairs:
+        cid, label = ("", pair) if chain_col is None else pair
+        c, order = chains.setdefault(cid, (len(chains), {}))
+        label = label.strip()
+        per_pair.append((c, order.setdefault(label, len(order)), not label))
+    pair_chain, pair_local, pair_empty = np.array(per_pair, dtype=np.intp).reshape(-1, 3).T
+    codes = np.frombuffer(codes, dtype=np.int64)
+    by_chain = np.argsort(pair_chain[codes], kind="stable")
+    sorted_codes = codes[by_chain]
+    sorted_chain = pair_chain[sorted_codes]
+
+    # the first failing row of each check, in the order the checks apply to one row
+    empty = np.flatnonzero(pair_empty[codes])
+    failures = [(empty[0], "empty label")] if empty.size else []
+    if iter_col is not None:
+        it = np.frombuffer(iters, dtype=np.int64)[by_chain]
+        # np.diff wraps around, so the smallest int64 would seem to follow the largest
+        step = (np.diff(it) != 1) | (it[:-1] == np.iinfo(np.int64).max)
+        gap = np.flatnonzero(step & (np.diff(sorted_chain) == 0)) + 1
+        if gap.size:
+            p = gap[np.argmin(by_chain[gap])]
+            cid = list(chains)[sorted_chain[p]]
+            failures.append((
+                by_chain[p],
+                f"iteration {it[p]} does not follow {it[p - 1]} consecutively in chain {cid!r}",
+            ))
+    if failures:
+        first, message = min(failures, key=lambda f: f[0])
+        raise ChainFileError(f"{path}:{_line_of(path, first)}: {message}")
+    if row is not None:
+        problem = _row_problem(row, header, label_col, iter_col)
+        raise ChainFileError(f"{path}:{reader.line_num}: {problem}")
+
+    local = pair_local[sorted_codes]
+    ends = np.cumsum(np.bincount(sorted_chain, minlength=len(chains)))
+    return [
+        LabeledChain(labels=tuple(order), indices=indices)
+        for (_, order), indices in zip(chains.values(), np.split(local, ends[:-1]))
+    ]
+
+
+def _line_of(path: Path, row: int) -> int:
+    """Physical line on which data row ``row`` (0-based, blank lines skipped) ends."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        ends = (reader.line_num for fields in reader if fields)
+        return next(islice(ends, row, None))
+
+
+def _row_problem(row: list, header: list, label_col: int, iter_col: int | None) -> str:
+    """Why the pass stopped at ``row``, checked in the order rows are checked."""
+    if len(row) < len(header):
+        return f"row has {len(row)} fields, header has {len(header)}"
+    if not row[label_col].strip():
+        return "empty label"
+    try:
+        int(row[iter_col])
+    except ValueError:
+        return "iteration is not an integer"
+    return f"iteration {row[iter_col].strip()} does not fit in 64 bits"

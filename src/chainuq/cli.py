@@ -213,7 +213,15 @@ def analyze_chains(
 
     This is the CLI's engine, exposed so library users can produce the same
     report without touching the filesystem.
+
+    Raises
+    ------
+    ConfigError
+        If ``n_draws`` is below 2, which leaves the ESS fit and the
+        standard deviations undefined.
     """
+    if n_draws < 2:
+        raise ConfigError(f"n_draws must be at least 2; the ESS fit needs two draws, got {n_draws}")
     counts = merge_counts([count_transitions(c) for c in chains])
     draws = draw_posterior(counts, prior, n_draws=n_draws, seed=seed)
     summary = summarize(draws, levels=levels)
@@ -221,11 +229,6 @@ def analyze_chains(
     ess_est = effective_sample_size(draws)
 
     warnings = []
-    if summary.insufficient_draws:
-        warnings.append({
-            "code": "insufficient_draws_for_sd",
-            "message": "fewer than two draws; standard deviations are undefined",
-        })
     # models with an observed outgoing move; a model seen only at a chain's
     # end would otherwise form a closed class of its own
     left = counts.counts.sum(axis=1) > 0

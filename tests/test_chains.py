@@ -1,6 +1,9 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chainuq.chains import (
@@ -39,6 +42,14 @@ def test_index_first_appearance_wins():
 def test_index_empty_raises():
     with pytest.raises(EmptyChainError):
         index_chain([])
+
+
+def test_index_accepts_one_shot_generator():
+    chain = index_chain(lab for lab in ["B", "A", "B", "C"])
+    assert chain.labels == ("B", "A", "C")
+    assert chain.indices.tolist() == [0, 1, 0, 2]
+    with pytest.raises(EmptyChainError):
+        index_chain(lab for lab in [])
 
 
 def test_count_small_chain():
@@ -205,3 +216,156 @@ def test_format_inferred_from_extension(tmp_path):
     path.write_text("label\nA\nB\n", encoding="utf-8")
     (chain,) = read_chain_file(path)
     assert chain.labels == ("A", "B")
+
+
+def read_error(path):
+    with pytest.raises(ChainFileError) as info:
+        read_chain_file(path)
+    return str(info.value)
+
+
+def test_read_csv_error_counts_blank_lines(tmp_path):
+    path = tmp_path / "chains.csv"
+    path.write_text("iteration,label\n0,A\n\n\n1,B\n3,A\n", encoding="utf-8")
+    assert read_error(path) == f"{path}:6: iteration 3 does not follow 1 consecutively in chain ''"
+
+
+def test_read_csv_error_counts_lines_inside_quoted_fields(tmp_path):
+    path = tmp_path / "chains.csv"
+    path.write_text('iteration,label\n0,A\n1,"B\nC"\n2,\n', encoding="utf-8")
+    assert read_error(path) == f"{path}:5: empty label"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["label,chain_id\nA,1\nB\n", "chain_id,label\n1,A\n1\n"],
+    ids=["missing_chain_id", "missing_label"],
+)
+def test_read_csv_short_row_rejected(tmp_path, text):
+    path = tmp_path / "chains.csv"
+    path.write_text(text, encoding="utf-8")
+    assert read_error(path) == f"{path}:3: row has 1 fields, header has 2"
+
+
+def test_read_csv_extra_trailing_fields_allowed(tmp_path):
+    path = tmp_path / "chains.csv"
+    path.write_text("iteration,label\n0,A,x\n1,B,y,z\n", encoding="utf-8")
+    (chain,) = read_chain_file(path)
+    assert chain.labels == ("A", "B")
+
+
+def test_read_csv_iteration_beyond_64_bits_rejected(tmp_path):
+    path = tmp_path / "chains.csv"
+    path.write_text(f"iteration,label\n0,A\n{2**70},B\n", encoding="utf-8")
+    assert read_error(path) == f"{path}:3: iteration {2**70} does not fit in 64 bits"
+
+
+def test_read_csv_iteration_does_not_wrap_around(tmp_path):
+    path = tmp_path / "chains.csv"
+    path.write_text(f"iteration,label\n{2**63 - 1},A\n{-2**63},B\n", encoding="utf-8")
+    assert read_error(path) == (
+        f"{path}:3: iteration {-2**63} does not follow {2**63 - 1} consecutively in chain ''"
+    )
+
+
+def oracle_read_csv(path):
+    """Row-by-row reference reader: (labels, indices) per chain, or the error."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        column = {name: i for i, name in enumerate(header)}
+        if "label" not in column:
+            raise ChainFileError(f"{path}: CSV must have a 'label' column")
+        sequences, last_iter = {}, {}
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) < len(header):
+                raise ChainFileError(
+                    f"{where}: row has {len(row)} fields, header has {len(header)}"
+                )
+            label = row[column["label"]].strip()
+            if not label:
+                raise ChainFileError(f"{where}: empty label")
+            cid = row[column["chain_id"]] if "chain_id" in column else ""
+            if "iteration" in column:
+                try:
+                    it = int(row[column["iteration"]])
+                except ValueError:
+                    raise ChainFileError(f"{where}: iteration is not an integer") from None
+                prev = last_iter.get(cid)
+                if prev is not None and it != prev + 1:
+                    raise ChainFileError(
+                        f"{where}: iteration {it} does not follow {prev} consecutively "
+                        f"in chain {cid!r}"
+                    )
+                last_iter[cid] = it
+            sequences.setdefault(cid, []).append(label)
+    if not sequences:
+        raise EmptyChainError(f"{path}: no rows found")
+    chains = []
+    for seq in sequences.values():
+        order = {}
+        indices = [order.setdefault(lab, len(order)) for lab in seq]
+        chains.append((tuple(order), indices))
+    return chains
+
+
+CHAIN_IDS = ["1", "2", " 1", "a,b"]
+LABELS = ["A", " A", "A ", "B", "m,1", 'q"r', "x\ny"]
+FAULTS = ["empty", "blank label", "gap", "repeat", "text", "short", "long"]
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text with optional chain_id/iteration columns, blank lines and a few faults."""
+    columns = ["label"] + [
+        name for name in ("chain_id", "iteration", "extra") if draw(st.booleans())
+    ]
+    header = draw(st.permutations(columns))
+    n = draw(st.integers(1, 12))
+    chains = draw(st.lists(st.sampled_from(CHAIN_IDS), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))
+    blanks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    faults = dict(
+        draw(st.lists(st.tuples(st.integers(0, 11), st.sampled_from(FAULTS)), max_size=2))
+    )
+    next_iter = {cid: draw(st.integers(-2, 3)) for cid in CHAIN_IDS}
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for k in range(n):
+        cid, fault = chains[k], faults.get(k)
+        it = next_iter[cid] + {"gap": 1, "repeat": -1}.get(fault, 0)
+        next_iter[cid] = it + 1
+        fields = {
+            "label": {"empty": "", "blank label": "  "}.get(fault, labels[k]),
+            "chain_id": cid,
+            "iteration": "x" if fault == "text" else f" {it}" if k % 3 == 0 else str(it),
+            "extra": "e",
+        }
+        row = [fields[name] for name in header]
+        if fault == "short":
+            row = row[:-1] or row
+        elif fault == "long":
+            row.append("tail")
+        out.write("\n" * blanks[k])
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except (ChainFileError, EmptyChainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_files())
+def test_read_csv_matches_row_by_row_oracle(tmp_path, text):
+    path = tmp_path / "chains.csv"
+    path.write_text(text, encoding="utf-8")
+    got = outcome(lambda p: [(c.labels, c.indices.tolist()) for c in read_chain_file(p)], path)
+    assert got == outcome(oracle_read_csv, path)

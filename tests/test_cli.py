@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import chainuq
-from chainuq.cli import main
+from chainuq.cli import analyze_chains, main
+from chainuq.errors import ConfigError
 
 
 @pytest.fixture
@@ -94,6 +95,12 @@ def test_bad_draws_exits_3(chain_file):
 def test_analyze_single_draw_exits_3(chain_file, capsys):
     assert main(["analyze", "--input", str(chain_file), "--draws", "1"]) == 3
     assert "--draws" in capsys.readouterr().err
+
+
+def test_analyze_chains_rejects_single_draw():
+    chain = chainuq.index_chain(["A", "B", "A", "B", "B"])
+    with pytest.raises(ConfigError, match="n_draws must be at least 2"):
+        analyze_chains([chain], prior=chainuq.PriorSpec.default(), n_draws=1, seed=0)
 
 
 def test_bench_single_draw_exits_3(tmp_path, capsys):
