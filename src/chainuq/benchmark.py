@@ -74,14 +74,14 @@ def generate_chain(spec: MixtureChainSpec) -> LabeledChain:
     pi = np.asarray(spec.pi_true)
     n_states = pi.size
     t = spec.iterations
-    states = np.empty(t, dtype=np.intp)
-    states[0] = rng.choice(n_states, p=pi)
-    if t > 1:
-        copy = rng.random(t - 1) < spec.beta
-        fresh = rng.choice(n_states, p=pi, size=t - 1)
-        for i in range(1, t):
-            states[i] = states[i - 1] if copy[i - 1] else fresh[i - 1]
-    return index_chain([int(s) + 1 for s in states])
+    first = rng.choice(n_states, p=pi)
+    copy = rng.random(t - 1) < spec.beta
+    fresh = rng.choice(n_states, p=pi, size=t - 1)
+    # step i repeats the state drawn at the last step <= i that did not copy
+    src = np.arange(t)
+    src[1:][copy] = 0
+    states = np.concatenate(([first], fresh))[np.maximum.accumulate(src)]
+    return index_chain((states + 1).tolist())
 
 
 def _derived_seeds(seed: int, beta_index: int, replication: int) -> tuple[int, int]:

@@ -39,7 +39,7 @@ from .errors import (
 from .ess import effective_sample_size
 from .sampling import PriorSpec, draw_posterior, point_estimate
 from .stationary import classify_support
-from .summaries import bayes_factors, rank_stability, subset_probability, summarize
+from .summaries import _reject_repeats, bayes_factors, rank_stability, subset_probability, summarize
 
 INPUT_ERRORS = (
     ChainFileError,
@@ -219,9 +219,12 @@ def analyze_chains(
     ConfigError
         If ``n_draws`` is below 2, which leaves the ESS fit and the
         standard deviations undefined.
+    LabelError
+        If ``declared`` names a model more than once.
     """
     if n_draws < 2:
         raise ConfigError(f"n_draws must be at least 2; the ESS fit needs two draws, got {n_draws}")
+    _reject_repeats(declared, "declared model list")
     counts = merge_counts([count_transitions(c) for c in chains])
     draws = draw_posterior(counts, prior, n_draws=n_draws, seed=seed)
     summary = summarize(draws, levels=levels)

@@ -54,8 +54,8 @@ class PriorSpec:
     def __post_init__(self):
         if self.mode not in PRIOR_MODES:
             raise ConfigError(f"unknown prior mode {self.mode!r}")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be nonnegative")
+        if not np.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         if self.mode == "matrix":
             if self.epsilon_matrix is None:
                 raise ConfigError("matrix mode requires epsilon_matrix")
@@ -241,12 +241,13 @@ def draw_posterior(
     Block k samples its transition matrices from its own RNG stream, spawned
     from ``seed`` by block index, and every block is generated whole before
     the result is truncated to ``n_draws``. Every matrix of a block, zero
-    entries included, is mapped to its stationary distribution by one stacked
-    solve. Uniqueness is decided once, before sampling, from the support of
-    the shapes ``counts + prior``: a draw's support is contained in it, and
-    dropping edges never lowers the number of closed classes. Hence results
-    are a pure function of ``(counts, prior, n_draws, seed)``, and draw r is
-    the same for every ``n_draws > r`` (the prefix property).
+    entries included, goes through one stacked GTH elimination, unclamped;
+    transient states get exactly zero mass. Uniqueness is decided once, from
+    the support of ``counts + prior``: a draw's support lies inside it, and
+    dropping edges never lowers the number of closed classes (a draw whose
+    underflowed zeros split it gets the vector of one closed class). Hence
+    results are a pure function of ``(counts, prior, n_draws, seed)``, and
+    draw r is the same for every ``n_draws > r`` (the prefix property).
 
     Parameters
     ----------
@@ -265,7 +266,7 @@ def draw_posterior(
         Propagated from row sampling.
     NoUniqueStationaryError
         If the shape support has more than one closed class (reported as
-        draw 0), or a draw's solve is rejected; the message names the draw.
+        draw 0), or a draw misses the residual check; the message names it.
     """
     if n_draws < 1:
         raise ConfigError("n_draws must be at least 1")

@@ -1,11 +1,11 @@
 """Stationary distributions of row-stochastic matrices.
 
-The stationary vector is the normalized left eigenvector with eigenvalue one.
-It is computed by a direct linear solve of the balance equations with one row
-replaced by the normalization constraint. The same stacked solve serves a single
-matrix and a block of posterior draws; a solution that is not finite, has a
-clearly negative entry, or misses the residual tolerance is rejected, never
-repaired.
+The stationary vector is the normalized left eigenvector with eigenvalue one,
+computed by GTH elimination (Grassmann, Taksar & Heyman 1985). It does no
+subtraction, so every component keeps its relative accuracy however small
+(O'Cinneide 1993), and transient states get exactly zero mass. The same
+stacked elimination serves a single matrix and a block of posterior draws; a
+solution that misses the residual tolerance is rejected, never repaired.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import NonStochasticError, NoUniqueStationaryError
 
 ROW_SUM_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
-NEGATIVE_CLAMP = 1e-12
 REJECTED = (
     "failed to resolve the stationary distribution to the required residual tolerance"
 )
@@ -93,41 +92,37 @@ def _require_unique(support) -> None:
 
 
 def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary vectors of a stack of row-stochastic matrices.
+    """Stationary vectors of a (B, I, I) stack by GTH elimination; ``p`` is not modified.
 
-    Each matrix is solved as (P^T - I) x = 0 with the last equation replaced by
-    sum(x) = 1. The replaced equation is redundant (columns of P^T - I sum to
-    zero), so the system is nonsingular exactly when the stationary vector is
-    unique. ``p`` has shape (B, I, I). Returns ``(pi, ok)``: ``pi[i]`` is the
-    normalized solution for ``p[i]``, valid only where ``ok[i]``, i.e. where it
-    is finite, no entry is below -1e-12 (smaller negatives are clamped to 0),
-    its total is positive and its residual is within 1e-8. When the stack is
-    singular, its members are solved one at a time and the singular ones are
-    rejected.
+    The elimination runs on an (I, I, B) copy, one rank-1 update over the
+    stack per pivot. Step k = I-1, ..., 1 censors state k out of the chain on
+    0..k, dividing by its outflow to lower states, summed rather than formed
+    as 1 - p[k, k]; with no subtraction every component keeps its relative
+    accuracy. A zero outflow means k reaches no lower state; given a unique
+    stationary distribution, the largest such k is then the smallest member
+    of the closed class and all states below it are transient, so that step
+    divides by one and back substitution starts at k with x[k] = 1 and exact
+    zeros below. Returns ``(pi, ok)``: ``pi[i]`` is valid where ``ok[i]``,
+    i.e. where its residual ``|pi P - pi|`` is within 1e-8 (NaN fails).
     """
     b, n, _ = p.shape
-    a = np.swapaxes(p, 1, 2) - np.eye(n)
-    a[:, -1, :] = 1.0
-    rhs = np.zeros((b, n, 1))
-    rhs[:, -1, 0] = 1.0
-    try:
-        x = np.linalg.solve(a, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        x = np.full((b, n), np.nan)
-        for i in range(b):
-            try:
-                x[i] = np.linalg.solve(a[i], rhs[i])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ok = np.isfinite(x).all(axis=1) & (x.min(axis=1) >= -NEGATIVE_CLAMP)
-        x = np.where(x < 0, 0.0, x)
-        total = x.sum(axis=1)
-        ok &= total > 0
-        pi = x / total[:, None]
+    a = np.moveaxis(p, 0, -1).copy()
+    zero = np.zeros((n, b), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1, 0, -1):
+            s = a[k, :k].sum(axis=0)
+            np.equal(s, 0.0, out=zero[k])
+            a[:k, k] /= s + zero[k]  # a zero outflow divides by one
+            a[:k, :k] += a[:k, k, None] * a[None, k, :k]
+        ks = np.arange(n)[:, None]
+        start = (ks * zero).max(axis=0)
+        x = (ks == start).astype(float)
+        for k in range(1, n):
+            x[k] = np.where(start < k, (x[:k] * a[:k, k]).sum(axis=0), x[k])
+        x /= x.max(axis=0)  # so that the total cannot overflow
+        pi = (x / x.sum(axis=0)).T
         residual = np.abs((pi[:, None, :] @ p)[:, 0, :] - pi).max(axis=1)
-    ok &= residual <= RESIDUAL_TOL
-    return pi, ok
+    return pi, residual <= RESIDUAL_TOL
 
 
 def stationary(matrix) -> np.ndarray:

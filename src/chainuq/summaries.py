@@ -25,6 +25,16 @@ def _check_levels(levels):
     return lo, hi
 
 
+def _sample_stats(samples: np.ndarray, lo: float, hi: float) -> dict:
+    """Mean, SD (divisor n - 1), median and bounds of a 1-D sample; NaN where undefined."""
+    if not samples.size:
+        return dict.fromkeys(("mean", "sd", "median", "lower", "upper"), float("nan"))
+    qs = np.quantile(samples, [lo, 0.5, hi], method="linear")
+    sd = float(samples.std(ddof=1)) if samples.size > 1 else float("nan")
+    return {"mean": float(samples.mean()), "sd": sd, "median": float(qs[1]),
+            "lower": float(qs[0]), "upper": float(qs[2])}
+
+
 @dataclass(frozen=True)
 class UncertaintySummary:
     """Componentwise uncertainty report for the posterior model probabilities."""
@@ -125,26 +135,15 @@ def bayes_factors(
         ok = den > 0
         n_zero = int(np.sum(~ok))
         ratios = factor * num[ok] / den[ok]
-        if ratios.size:
-            qs = np.quantile(ratios, [lo, 0.5, hi], method="linear")
-            mean = float(ratios.mean())
-            sd = float(ratios.std(ddof=1)) if ratios.size > 1 else float("nan")
-        else:
-            qs = np.full(3, np.nan)
-            mean = sd = float("nan")
         results.append(
             BayesFactorSummary(
                 numerator=lab_i,
                 denominator=lab_j,
                 samples=ratios,
-                mean=mean,
-                sd=sd,
-                median=float(qs[1]),
-                lower=float(qs[0]),
-                upper=float(qs[2]),
                 levels=(lo, hi),
                 odds_factor=factor,
                 n_zero_denominator=n_zero,
+                **_sample_stats(ratios, lo, hi),
             )
         )
     return results
@@ -164,6 +163,12 @@ class SubsetSummary:
     levels: tuple
 
 
+def _reject_repeats(labels, what: str) -> None:
+    for i, lab in enumerate(labels):
+        if lab in labels[:i]:
+            raise LabelError(f"{what} names model {lab!r} more than once")
+
+
 def subset_probability(draws: PosteriorDraws, subset, levels=DEFAULT_LEVELS) -> SubsetSummary:
     """Summary of the summed posterior probability of ``subset``.
 
@@ -174,12 +179,13 @@ def subset_probability(draws: PosteriorDraws, subset, levels=DEFAULT_LEVELS) -> 
     Raises
     ------
     LabelError
-        For an empty subset or an unknown label.
+        For an empty subset, an unknown label or a repeated label.
     """
     lo, hi = _check_levels(levels)
     subset = tuple(subset)
     if not subset:
         raise LabelError("subset must name at least one model")
+    _reject_repeats(subset, "subset")
     index = draws.label_to_index
     cols = []
     for lab in subset:
@@ -187,16 +193,8 @@ def subset_probability(draws: PosteriorDraws, subset, levels=DEFAULT_LEVELS) -> 
             raise LabelError(f"unknown model label {lab!r}")
         cols.append(index[lab])
     totals = draws.draws[:, cols].sum(axis=1)
-    qs = np.quantile(totals, [lo, 0.5, hi], method="linear")
     return SubsetSummary(
-        labels=subset,
-        samples=totals,
-        mean=float(totals.mean()),
-        sd=float(totals.std(ddof=1)) if totals.size > 1 else float("nan"),
-        median=float(qs[1]),
-        lower=float(qs[0]),
-        upper=float(qs[2]),
-        levels=(lo, hi),
+        labels=subset, samples=totals, levels=(lo, hi), **_sample_stats(totals, lo, hi)
     )
 
 

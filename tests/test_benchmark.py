@@ -7,8 +7,22 @@ from chainuq.benchmark import (
     generate_chain,
     run_coverage_experiment,
 )
+from chainuq.chains import index_chain
 
 PI = (0.85, 0.13, 0.02)
+
+
+def loop_chain(spec):
+    """Step-by-step copy/fresh process on the generator's stream, as an oracle."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    pi = np.asarray(spec.pi_true)
+    states = [int(rng.choice(pi.size, p=pi))]
+    if spec.iterations > 1:
+        copy = rng.random(spec.iterations - 1) < spec.beta
+        fresh = rng.choice(pi.size, p=pi, size=spec.iterations - 1)
+        for i in range(1, spec.iterations):
+            states.append(states[-1] if copy[i - 1] else int(fresh[i - 1]))
+    return index_chain([s + 1 for s in states])
 
 
 def occupancy_autocorr(indicator, lag):
@@ -57,6 +71,16 @@ class TestGenerateChain:
         b = generate_chain(MixtureChainSpec(PI, 0.3, 1000, seed=8))
         assert a.labels == b.labels
         assert np.array_equal(a.indices, b.indices)
+
+    @pytest.mark.parametrize("iterations", [1, 2, 5, 1000])
+    def test_matches_step_by_step_loop(self, iterations):
+        for seed in range(200):
+            for beta in (0.0, 0.3, 0.8, 1.0):
+                spec = MixtureChainSpec(PI, beta, iterations, seed=seed)
+                got, want = generate_chain(spec), loop_chain(spec)
+                assert got.labels == want.labels
+                assert all(type(lab) is int for lab in got.labels)
+                assert np.array_equal(got.indices, want.indices)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):

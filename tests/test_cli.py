@@ -84,6 +84,12 @@ def test_bad_epsilon_exits_3(chain_file, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_fixed_epsilon_exits_3(chain_file, capsys, value):
+    assert main(["analyze", "--input", str(chain_file), "--epsilon", f"fixed:{value}"]) == 3
+    assert "epsilon must be finite" in capsys.readouterr().err
+
+
 def test_bad_ci_exits_3(chain_file):
     assert main(["analyze", "--input", str(chain_file), "--ci", "0.9,0.1"]) == 3
 
@@ -165,6 +171,14 @@ def test_declared_models_reported_with_flag(chain_file, capsys):
     assert by_label["C"]["mean"] == 0.0
     assert by_label["A"]["never_sampled"] is False
     assert any(w["code"] == "never_sampled_model" for w in report["warnings"])
+
+
+@pytest.mark.parametrize(
+    "flag", [["--subset", "s=A,A"], ["--declared", "Z,Z"]], ids=["subset", "declared"]
+)
+def test_repeated_label_exits_3(chain_file, capsys, flag):
+    assert main(["analyze", "--input", str(chain_file)] + flag) == 3
+    assert "more than once" in capsys.readouterr().err
 
 
 def test_optional_sections_present(chain_file, capsys):

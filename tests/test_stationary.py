@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -136,9 +137,62 @@ def test_periodic_chain_through_main_entry():
     assert np.allclose(pi, [0.5, 0.5], atol=1e-10)
 
 
-def test_singular_member_does_not_reject_the_stack():
-    good = np.array([[0.9, 0.1], [0.3, 0.7]])
-    pi, ok = _solve_stack(np.stack([np.eye(2), good, np.eye(2)]))
-    assert ok.tolist() == [False, True, False]
-    assert np.array_equal(pi[1], stationary(good))
-    assert np.allclose(pi[1], [0.75, 0.25], atol=1e-14)
+def _two_state_reference(p):
+    """[b, a] / (a + b) in 50-digit arithmetic from the float off-diagonals."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(float(p[0][1])), mpmath.mpf(float(p[1][0]))
+        return [b / (a + b), a / (a + b)]
+
+
+# two-state chains whose couplings an LU solve loses below rounding
+NEARLY_DECOMPOSABLE = {
+    "couplings_below_rounding": [[1.0, 1e-200], [1e-250, 1.0]],
+    "nearly_decomposable": [[1.0 - 1e-15, 1e-15], [1e-13, 1.0 - 1e-13]],
+}
+
+
+@pytest.mark.parametrize("p", NEARLY_DECOMPOSABLE.values(), ids=NEARLY_DECOMPOSABLE.keys())
+def test_tiny_components_keep_relative_accuracy(p):
+    pi = stationary(p)
+    for got, want in zip(pi, _two_state_reference(p)):
+        assert abs((mpmath.mpf(float(got)) - want) / want) <= 1e-14
+
+
+def _with_transient_state(p):
+    """Append a state that moves to the first two evenly and is never entered."""
+    out = np.zeros((3, 3))
+    out[:2, :2] = p
+    out[2, :2] = 0.5
+    return out
+
+
+def test_stack_members_match_single_matrix_solves():
+    stack = np.stack([
+        random_stochastic(np.random.default_rng(3), 3),
+        _with_transient_state([[0.5, 0.5], [0.0, 1.0]]),
+        [[0.2, 0.3, 0.5], [0.0, 0.5, 0.5], [0.0, 0.4, 0.6]],
+        *(_with_transient_state(p) for p in NEARLY_DECOMPOSABLE.values()),
+    ])
+    before = stack.copy()
+    pi, ok = _solve_stack(stack)
+    assert ok.all()
+    assert np.array_equal(stack, before)
+    for member, got in zip(stack, pi):
+        assert np.array_equal(got, stationary(member))
+    assert pi[1].tolist() == [0.0, 1.0, 0.0]
+    assert pi[2, 0] == 0.0
+    assert (pi[3:, 2] == 0.0).all()
+
+
+def test_unnormalized_total_beyond_float_range_still_normalizes():
+    # back substitution gives components near 1e308 whose plain sum overflows
+    t = 6e-309
+    pi = stationary([[0.0, 0.5, 0.5], [t, 1.0 - t, 0.0], [0.0, t, 1.0 - t]])
+    assert 0.0 < pi[0] < 1e-300
+    assert np.allclose(pi, [0.0, 2.0 / 3.0, 1.0 / 3.0], rtol=0.0, atol=1e-15)
+
+
+def test_closed_class_starts_at_the_largest_zero_pivot():
+    # states 0 and 1 each reach no lower state; only state 2 is recurrent
+    pi = stationary([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+    assert pi.tolist() == [0.0, 0.0, 1.0]

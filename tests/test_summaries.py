@@ -122,6 +122,11 @@ class TestSubsetProbability:
         with pytest.raises(LabelError):
             subset_probability(draws, ())
 
+    def test_repeated_label_rejected(self, make_draws):
+        draws = make_draws(np.tile([0.5, 0.5], (5, 1)))
+        with pytest.raises(LabelError, match="more than once"):
+            subset_probability(draws, (1, 1))
+
 
 class TestRankStability:
     def test_constant_draws_give_certain_ranks(self, make_draws):
