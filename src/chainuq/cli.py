@@ -220,11 +220,16 @@ def analyze_chains(
         If ``n_draws`` is below 2, which leaves the ESS fit and the
         standard deviations undefined.
     LabelError
-        If ``declared`` names a model more than once.
+        If ``declared`` names a model more than once, or a subset name is
+        empty or repeated.
     """
     if n_draws < 2:
         raise ConfigError(f"n_draws must be at least 2; the ESS fit needs two draws, got {n_draws}")
     _reject_repeats(declared, "declared model list")
+    subset_names = [name for name, _ in subsets]
+    if "" in subset_names:
+        raise LabelError("a subset has an empty name")
+    _reject_repeats(subset_names, "subset list")
     counts = merge_counts([count_transitions(c) for c in chains])
     draws = draw_posterior(counts, prior, n_draws=n_draws, seed=seed)
     summary = summarize(draws, levels=levels)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .dirichlet import DirichletFit, fit_dirichlet
 from .errors import EmptyChainError
@@ -52,6 +51,8 @@ class IidPosterior:
 
     def quantile(self, q: float) -> np.ndarray:
         """Marginal Beta quantiles, componentwise."""
+        from scipy.special import betaincinv  # only ``chainuq bench`` needs scipy
+
         n = self.concentrations
         total = self.total
         out = np.empty(n.shape)

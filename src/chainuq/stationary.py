@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NonStochasticError, NoUniqueStationaryError
 
@@ -27,7 +25,7 @@ REJECTED = (
 
 @dataclass(frozen=True)
 class CommunicatingClasses:
-    """Strongly connected components of the positive-entry digraph."""
+    """Strongly connected components of the positive-entry digraph, by smallest member."""
 
     classes: tuple
     closed: tuple
@@ -40,21 +38,23 @@ class CommunicatingClasses:
 def classify_support(matrix) -> CommunicatingClasses:
     """Communicating classes of a nonnegative matrix's support graph.
 
-    A class is closed when no positive entry leads out of it; a unique
-    stationary distribution exists iff exactly one class is closed.
+    Reachability is the boolean closure of ``I + A``, taken by repeated
+    squaring in about log2(I) matmuls; i and j communicate when each reaches
+    the other. Classes are listed by their smallest member. A class is closed
+    when nothing it reaches lies outside it; a unique stationary distribution
+    exists iff exactly one class is closed.
     """
     adj = np.asarray(matrix, dtype=float) > 0
-    n_comp, comp = connected_components(
-        csr_matrix(adj), directed=True, connection="strong"
-    )
-    classes = []
-    closed = []
-    for c in range(n_comp):
-        members = np.flatnonzero(comp == c)
-        others = np.flatnonzero(comp != c)
-        classes.append(tuple(int(i) for i in members))
-        closed.append(not adj[np.ix_(members, others)].any())
-    return CommunicatingClasses(tuple(classes), tuple(closed))
+    reach, wider = None, adj | np.eye(len(adj), dtype=bool)
+    while not np.array_equal(reach, wider):
+        reach = wider
+        step = reach.astype(np.float32)  # counts of 2-step paths are at most I: exact
+        wider = (step @ step) > 0
+    same = reach & reach.T
+    firsts = np.flatnonzero(~np.tril(same, -1).any(axis=1))  # smallest members
+    classes = tuple(tuple(np.flatnonzero(same[i]).tolist()) for i in firsts)
+    closed = tuple((reach[firsts].sum(axis=1) == same[firsts].sum(axis=1)).tolist())
+    return CommunicatingClasses(classes, closed)
 
 
 def _validated(matrix) -> np.ndarray:

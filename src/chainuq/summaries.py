@@ -166,7 +166,7 @@ class SubsetSummary:
 def _reject_repeats(labels, what: str) -> None:
     for i, lab in enumerate(labels):
         if lab in labels[:i]:
-            raise LabelError(f"{what} names model {lab!r} more than once")
+            raise LabelError(f"{what} names {lab!r} more than once")
 
 
 def subset_probability(draws: PosteriorDraws, subset, levels=DEFAULT_LEVELS) -> SubsetSummary:

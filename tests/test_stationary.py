@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from chainuq.errors import NonStochasticError, NoUniqueStationaryError
 from chainuq.stationary import _solve_stack, classify_support, stationary
@@ -95,6 +97,41 @@ def test_classify_upper_triangular_absorbing():
     closed_classes = [c for c, is_closed in zip(report.classes, report.closed) if is_closed]
     assert closed_classes == [(2,)]
     assert report.n_closed == 1
+
+
+def scipy_classes(adj):
+    """{class: closed} from scipy's strongly connected components."""
+    n_comp, comp = connected_components(csr_matrix(adj), directed=True, connection="strong")
+    classes = {}
+    for c in range(n_comp):
+        members = np.flatnonzero(comp == c)
+        outside = np.flatnonzero(comp != c)
+        classes[frozenset(members.tolist())] = not adj[np.ix_(members, outside)].any()
+    return classes
+
+
+def random_supports(rng, n):
+    for density in (0.5, 1.0, 2.0, 4.0):
+        yield rng.random((n, n)) < density / n
+    yield np.eye(n, dtype=bool)  # self-loops only: every state is its own closed class
+    path = np.eye(n, k=1, dtype=bool)  # 0 -> 1 -> ... -> n-1, absorbing at the end
+    path[-1, -1] = True
+    yield path
+    # transient chains: random moves that only ever lead to higher states
+    yield np.triu(rng.random((n, n)) < 3.0 / n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 100])
+def test_classify_matches_scipy_strong_components(n):
+    rng = np.random.default_rng(n)
+    for adj in random_supports(rng, n):
+        report = classify_support(adj.astype(float))
+        expected = scipy_classes(adj)
+        assert dict(zip(map(frozenset, report.classes), report.closed)) == expected
+        assert report.n_closed == sum(expected.values())
+        # classes are listed by their smallest member, members ascending
+        assert [c[0] for c in report.classes] == sorted(c[0] for c in report.classes)
+        assert all(list(c) == sorted(c) for c in report.classes)
 
 
 def test_matches_power_iteration_on_random_50x50():
