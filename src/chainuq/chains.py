@@ -16,6 +16,7 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ChainFileError,
@@ -23,6 +24,9 @@ from .errors import (
     EmptyMergeError,
     InsufficientTransitionsError,
 )
+
+# bytes read per step of the plain-CSV pass, which then reads on to the end of the line
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -191,8 +195,10 @@ def read_chain_file(path, fmt: str | None = None) -> list[LabeledChain]:
     CSV requires a header with a ``label`` column and may carry ``chain_id``
     (several chains per file) and ``iteration`` (validated to be consecutive
     integers within each chain; gaps are rejected rather than guessed over).
-    Blank lines are skipped, a row with fewer fields than the header is
-    rejected, and errors name the physical line of the file.
+    Labels are stripped and blank lines skipped. The file must be UTF-8:
+    malformed input (bytes that are not UTF-8, a row with fewer fields than
+    the header, a CSV field over ``csv.field_size_limit()``) raises
+    `ChainFileError` naming the file and the physical line.
 
     Parameters
     ----------
@@ -203,11 +209,14 @@ def read_chain_file(path, fmt: str | None = None) -> list[LabeledChain]:
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "lines"
-    if fmt == "lines":
-        return [_read_lines(path)]
-    if fmt == "csv":
-        return _read_csv(path)
-    raise ChainFileError(f"unknown chain file format {fmt!r}")
+    if fmt not in ("lines", "csv"):
+        raise ChainFileError(f"unknown chain file format {fmt!r}")
+    try:
+        return [_read_lines(path)] if fmt == "lines" else _read_csv(path)
+    except UnicodeDecodeError:  # its offset counts from the text reader's chunk, not the file
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:  # bad byte: U+DCxx
+            bad = next(n for n, s in enumerate(fh, 1) if s != s.encode("utf-8", "replace").decode())
+        raise ChainFileError(f"{path}:{bad}: not valid UTF-8") from None
 
 
 def _read_lines(path: Path) -> LabeledChain:
@@ -221,34 +230,12 @@ def _read_lines(path: Path) -> LabeledChain:
 
 def _read_csv(path: Path) -> list[LabeledChain]:
     # One pass keeps two integers per row: the code of its distinct
-    # (chain_id, raw label) pair and its iteration. Labels are then stripped
-    # and indexed once per pair, and the row checks run as array operations.
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        column = {name: i for i, name in enumerate(header)}  # last duplicate wins
-        if "label" not in column:
-            raise ChainFileError(f"{path}: CSV must have a 'label' column")
-        label_col = column["label"]
-        iter_col, chain_col = column.get("iteration"), column.get("chain_id")
-        key = itemgetter(label_col) if chain_col is None else itemgetter(chain_col, label_col)
-        pairs: dict = {}
-        codes, iters = array("q"), array("q")
-        add_code, add_iter, code_of = codes.append, iters.append, pairs.setdefault
-        for row in reader:
-            if len(row) < len(header):
-                if row:
-                    break
-                continue  # blank line
-            if iter_col is not None:
-                try:
-                    add_iter(int(row[iter_col]))
-                except (ValueError, OverflowError):
-                    break
-            add_code(code_of(key(row), len(pairs)))
-        else:
-            row = None  # every row was stored
-    if not codes and row is None:
+    # (chain_id, raw label) pair and its iteration; it also returns the
+    # chain_id and iteration columns and "<line>: <problem>" if a row stopped
+    # it. Labels are then stripped and indexed once per pair, and the row
+    # checks run as array operations.
+    pairs, codes, iters, chain_col, iter_col, stop = _scan_plain(path) or _scan_rows(path)
+    if not codes and stop is None:
         raise EmptyChainError(f"{path}: no rows found")
 
     # per pair: its chain and its stripped label's index in that chain, both
@@ -284,9 +271,8 @@ def _read_csv(path: Path) -> list[LabeledChain]:
     if failures:
         first, message = min(failures, key=lambda f: f[0])
         raise ChainFileError(f"{path}:{_line_of(path, first)}: {message}")
-    if row is not None:
-        problem = _row_problem(row, header, label_col, iter_col)
-        raise ChainFileError(f"{path}:{reader.line_num}: {problem}")
+    if stop is not None:
+        raise ChainFileError(f"{path}:{stop}")
 
     local = pair_local[sorted_codes]
     ends = np.cumsum(np.bincount(sorted_chain, minlength=len(chains)))
@@ -294,6 +280,112 @@ def _read_csv(path: Path) -> list[LabeledChain]:
         LabeledChain(labels=tuple(order), indices=indices)
         for (_, order), indices in zip(chains.values(), np.split(local, ends[:-1]))
     ]
+
+
+def _columns(path: Path, header: list) -> tuple:
+    column = {name: i for i, name in enumerate(header)}  # last duplicate wins
+    if "label" not in column:
+        raise ChainFileError(f"{path}: CSV must have a 'label' column")
+    return column["label"], column.get("iteration"), column.get("chain_id")
+
+
+def _scan_rows(path: Path) -> tuple:
+    """The pass over any CSV, one ``csv.reader`` row at a time."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            label_col, iter_col, chain_col = _columns(path, header)
+            key = itemgetter(label_col) if chain_col is None else itemgetter(chain_col, label_col)
+            pairs, codes, iters = {}, array("q"), array("q")
+            add_code, add_iter, code_of = codes.append, iters.append, pairs.setdefault
+            for row in reader:
+                if len(row) < len(header):
+                    if row:
+                        break
+                    continue  # blank line
+                if iter_col is not None:
+                    try:
+                        add_iter(int(row[iter_col]))
+                    except (ValueError, OverflowError):
+                        break
+                add_code(code_of(key(row), len(pairs)))
+            else:
+                return pairs, codes, iters, chain_col, iter_col, None
+        except csv.Error as exc:  # a field over csv.field_size_limit(), or NUL before 3.11
+            raise ChainFileError(f"{path}:{reader.line_num}: {exc}") from None
+    stop = f"{reader.line_num}: {_row_problem(row, header, label_col, iter_col)}"
+    return pairs, codes, iters, chain_col, iter_col, stop
+
+
+def _scan_plain(path: Path) -> tuple | None:
+    """`_scan_rows` as array operations on the bytes of a plain file; None for others.
+
+    Plain: UTF-8, no quote or NUL byte, LF or CRLF line ends, no line over
+    ``csv.field_size_limit()``, no short row, iterations of an optional ``-``
+    and 1-18 digits. Only rows whose (chain_id, label) bytes differ from the
+    row before's are decoded and looked up.
+    """
+    limit, header = csv.field_size_limit(), None
+    pairs, codes, iters = {}, array("q"), array("q")
+    with open(path, "rb") as fh:
+        for data in iter(lambda: fh.read(_BLOCK) + fh.readline(), b""):  # whole lines
+            utf8 = data.isascii() or data.decode("utf-8", "replace").encode() == data
+            if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n") or not utf8:
+                return None
+            buf = np.frombuffer(data if data.endswith(b"\n") else data + b"\n", dtype=np.uint8)
+            ends = np.flatnonzero(buf == 10)
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            ends -= buf[ends - 1] == 13  # the CR of a CRLF; buf[-1] is an LF
+            if (ends - starts > limit).any():
+                return None
+            if header is None:
+                header = data[: ends[0]].decode("utf-8").split(",")
+                label_col, iter_col, chain_col = _columns(path, header)
+                starts, ends = starts[1:], ends[1:]
+            starts, ends = starts[ends > starts], ends[ends > starts]  # skip blank lines
+            commas = np.append(np.flatnonzero(buf == 44), buf.size)
+            first = np.searchsorted(commas, starts)
+            if (np.searchsorted(commas, ends) - first < len(header) - 1).any():
+                return None  # a short row
+            field = {  # column k of each row: after its k-th comma to the next comma or line end
+                k: (starts if k == 0 else commas[first + k - 1] + 1,
+                    np.minimum(commas[first + k], ends))
+                for k in (label_col, chain_col, iter_col) if k is not None
+            }
+            if iter_col is not None:
+                lo, hi = field[iter_col]
+                neg = buf[lo] == 45
+                width = hi - lo - neg
+                values = np.empty(width.size, dtype=np.int64)
+                for w in np.flatnonzero(np.bincount(width)).tolist():  # one gather per width
+                    rows = np.flatnonzero(width == w)
+                    digits = sliding_window_view(buf, w)[hi[rows] - w] - np.uint8(48)
+                    if not 1 <= w <= 18 or (digits > 9).any():  # a non-digit wraps past 9
+                        return None
+                    values[rows] = digits @ 10 ** np.arange(w - 1, -1, -1)
+                iters.frombytes(np.where(neg, -values, values).tobytes())
+            bounds = [field[k] for k in (chain_col, label_col) if k is not None]
+            same = [_same_as_previous(buf, lo, hi) for lo, hi in bounds]
+            runs = np.flatnonzero(~np.logical_and.reduce(same))
+            spans = [zip(lo[runs].tolist(), hi[runs].tolist()) for lo, hi in bounds]
+            keys = [[data[a:b].decode("utf-8") for a, b in span] for span in spans]
+            keys = keys[0] if chain_col is None else zip(*keys)
+            run_codes = np.array([pairs.setdefault(k, len(pairs)) for k in keys], dtype=np.int64)
+            codes.frombytes(np.repeat(run_codes, np.diff(runs, append=starts.size)).tobytes())
+    return None if header is None else (pairs, codes, iters, chain_col, iter_col, None)
+
+
+def _same_as_previous(buf, starts, ends):
+    """Whether each field's bytes equal those of the field in the row before (row 0: no)."""
+    width = ends - starts
+    same = np.zeros(width.size, dtype=bool)
+    same[1:] = width[1:] == width[:-1]
+    for w in np.flatnonzero(np.bincount(width[same])).tolist():  # one gather per width
+        rows = np.flatnonzero(same & (width == w))
+        window = sliding_window_view(buf, w)
+        same[rows] = (window[starts[rows]] == window[starts[rows - 1]]).all(axis=1)
+    return same
 
 
 def _line_of(path: Path, row: int) -> int:

@@ -195,6 +195,15 @@ def _clean(value):
     return value
 
 
+def _check_names(declared, subsets) -> None:
+    """Reject a model declared twice and an empty or repeated subset name."""
+    _reject_repeats(declared, "declared model list")
+    subset_names = [name for name, _ in subsets]
+    if "" in subset_names:
+        raise LabelError("a subset has an empty name")
+    _reject_repeats(subset_names, "subset list")
+
+
 def analyze_chains(
     chains,
     prior: PriorSpec,
@@ -225,11 +234,7 @@ def analyze_chains(
     """
     if n_draws < 2:
         raise ConfigError(f"n_draws must be at least 2; the ESS fit needs two draws, got {n_draws}")
-    _reject_repeats(declared, "declared model list")
-    subset_names = [name for name, _ in subsets]
-    if "" in subset_names:
-        raise LabelError("a subset has an empty name")
-    _reject_repeats(subset_names, "subset list")
+    _check_names(declared, subsets)
     counts = merge_counts([count_transitions(c) for c in chains])
     draws = draw_posterior(counts, prior, n_draws=n_draws, seed=seed)
     summary = summarize(draws, levels=levels)
@@ -537,6 +542,7 @@ def _run_analyze(args) -> int:
     subsets = [_parse_subset(s, i + 1) for i, s in enumerate(args.subset)]
     bf_pairs = [_parse_pair(p) for p in args.bf]
     declared = _parse_labels(args.declared)
+    _check_names(declared, subsets)
     chains = []
     for path in args.input:
         chains.extend(read_chain_file(path, args.format))

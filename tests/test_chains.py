@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import chainuq.chains as chains_module
 from chainuq.chains import (
     count_transitions,
     index_chain,
@@ -314,27 +315,37 @@ def oracle_read_csv(path):
 
 CHAIN_IDS = ["1", "2", " 1", "a,b"]
 LABELS = ["A", " A", "A ", "B", "m,1", 'q"r', "x\ny"]
+PLAIN_CHAIN_IDS = ["1", "2", " 1", "ü"]
+PLAIN_LABELS = ["A", " A", "A ", "B", "modèle", "\u00a0A", "\u2003B\u3000"]
 FAULTS = ["empty", "blank label", "gap", "repeat", "text", "short", "long"]
 
 
 @st.composite
-def csv_files(draw):
-    """CSV text with optional chain_id/iteration columns, blank lines and a few faults."""
+def csv_files(draw, plain=False):
+    """CSV text with optional chain_id/iteration columns, blank lines and a few faults.
+
+    ``plain`` files hold no quote, LF or CRLF line ends, unpadded iterations
+    and multi-byte or Unicode-space-padded labels; the others go through
+    ``csv.writer`` and may quote.
+    """
     columns = ["label"] + [
         name for name in ("chain_id", "iteration", "extra") if draw(st.booleans())
     ]
     header = draw(st.permutations(columns))
-    n = draw(st.integers(1, 12))
-    chains = draw(st.lists(st.sampled_from(CHAIN_IDS), min_size=n, max_size=n))
-    labels = draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))
+    n = draw(st.integers(0, 12))
+    ids, names = (PLAIN_CHAIN_IDS, PLAIN_LABELS) if plain else (CHAIN_IDS, LABELS)
+    chains = draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
     blanks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     faults = dict(
         draw(st.lists(st.tuples(st.integers(0, 11), st.sampled_from(FAULTS)), max_size=2))
     )
-    next_iter = {cid: draw(st.integers(-2, 3)) for cid in CHAIN_IDS}
+    next_iter = {cid: draw(st.integers(-2, 3)) for cid in ids}
+    eol = draw(st.sampled_from(["\n", "\r\n"])) if plain else "\n"
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
+    writer = csv.writer(out, lineterminator=eol)
+    write = (lambda row: out.write(",".join(row) + eol)) if plain else writer.writerow
+    write(header)
     for k in range(n):
         cid, fault = chains[k], faults.get(k)
         it = next_iter[cid] + {"gap": 1, "repeat": -1}.get(fault, 0)
@@ -342,7 +353,9 @@ def csv_files(draw):
         fields = {
             "label": {"empty": "", "blank label": "  "}.get(fault, labels[k]),
             "chain_id": cid,
-            "iteration": "x" if fault == "text" else f" {it}" if k % 3 == 0 else str(it),
+            "iteration": (
+                "x" if fault == "text" else f" {it}" if k % 3 == 0 and not plain else str(it)
+            ),
             "extra": "e",
         }
         row = [fields[name] for name in header]
@@ -350,8 +363,8 @@ def csv_files(draw):
             row = row[:-1] or row
         elif fault == "long":
             row.append("tail")
-        out.write("\n" * blanks[k])
-        writer.writerow(row)
+        out.write(eol * blanks[k])
+        write(row)
     return out.getvalue()
 
 
@@ -362,10 +375,75 @@ def outcome(read, path):
         return type(exc).__name__, str(exc)
 
 
+def read_as_lists(path):
+    return [(c.labels, c.indices.tolist()) for c in read_chain_file(path)]
+
+
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(csv_files())
+@given(st.booleans().flatmap(csv_files))
 def test_read_csv_matches_row_by_row_oracle(tmp_path, text):
     path = tmp_path / "chains.csv"
-    path.write_text(text, encoding="utf-8")
-    got = outcome(lambda p: [(c.labels, c.indices.tolist()) for c in read_chain_file(p)], path)
-    assert got == outcome(oracle_read_csv, path)
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(read_as_lists, path) == outcome(oracle_read_csv, path)
+
+
+def sticky_labels(rows):
+    """Labels of a benchmark-shaped chain: long runs of few labels."""
+    return np.repeat(["M07", "M1", "modèle", "M07"], -(-rows // 4))[:rows].tolist()
+
+
+def sticky_csv(rows, eol="\n"):
+    lines = [f"{i},{lab}" for i, lab in enumerate(sticky_labels(rows))]
+    return eol.join(["iteration,label"] + lines) + eol
+
+
+def forbid_csv_reader(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called on a plain file")
+
+    monkeypatch.setattr(chains_module.csv, "reader", refuse)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_read_plain_csv_never_reaches_csv_reader(tmp_path, monkeypatch, eol):
+    path = tmp_path / "chain.csv"
+    path.write_bytes(sticky_csv(1000, eol=eol).encode("utf-8"))
+    expected = oracle_read_csv(path)
+    forbid_csv_reader(monkeypatch)
+    assert read_as_lists(path) == expected
+
+
+@pytest.mark.parametrize("chain_ids", [False, True])
+def test_read_plain_csv_run_across_block_boundary(tmp_path, monkeypatch, chain_ids):
+    path = tmp_path / "chain.csv"
+    text = sticky_csv(200)
+    if chain_ids:  # chains a and b take turns every 30 rows
+        rows = [f"{'ab'[k // 30 % 2]},{lab}" for k, lab in enumerate(sticky_labels(200))]
+        text = "\n".join(["chain_id,label"] + rows) + "\n"
+    path.write_bytes(text.encode("utf-8"))
+    expected = oracle_read_csv(path)
+    forbid_csv_reader(monkeypatch)
+    monkeypatch.setattr(chains_module, "_BLOCK", 64)
+    assert read_as_lists(path) == expected
+
+
+def test_read_plain_csv_last_line_without_newline(tmp_path, monkeypatch):
+    path = tmp_path / "chain.csv"
+    path.write_bytes(sticky_csv(10).rstrip("\n").encode("utf-8"))
+    expected = oracle_read_csv(path)
+    forbid_csv_reader(monkeypatch)
+    assert read_as_lists(path) == expected
+
+
+def test_read_csv_lone_carriage_return_falls_back(tmp_path):
+    path = tmp_path / "chain.csv"
+    path.write_bytes(b"iteration,label\n0,A\r1,B\n2,A\n")
+    assert chains_module._scan_plain(path) is None
+    assert outcome(read_as_lists, path) == outcome(oracle_read_csv, path)
+
+
+def test_read_csv_19_digit_iteration_falls_back(tmp_path):
+    path = tmp_path / "chain.csv"
+    path.write_text("iteration,label\n0,A\n9999999999999999999,B\n", encoding="utf-8")
+    assert chains_module._scan_plain(path) is None
+    assert read_error(path) == f"{path}:3: iteration 9999999999999999999 does not fit in 64 bits"

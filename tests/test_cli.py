@@ -79,6 +79,28 @@ def test_empty_input_exits_1(tmp_path, capsys):
     assert main(["analyze", "--input", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "name, data, where",
+    [
+        ("chain.csv", b"iteration,label\n0,A\n1,mod\xe8le\n2,A\n", ":3: not valid UTF-8"),
+        ("chain.csv", b"label,note\nA,x\nB,caf\xe9\n", ":3: not valid UTF-8"),
+        ("chain.txt", b"A\nmod\xe8le\nA\n", ":2: not valid UTF-8"),
+        ("chain.csv", b"label\nA\n" + b"x" * 200_000 + b"\nA\n", ":3: field larger than"),
+    ],
+    ids=["latin1-csv", "latin1-csv-unread-column", "latin1-lines", "field-over-limit"],
+)
+def test_malformed_input_exits_1_with_line(tmp_path, capsys, name, data, where):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main(["analyze", "--input", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"chainuq: input error: {path}{where}")
+
+
+def test_bad_flag_exits_3_before_reading(capsys):
+    assert main(["analyze", "--input", "/nonexistent.csv", "--declared", "Z,Z"]) == 3
+    assert "more than once" in capsys.readouterr().err
+
+
 def test_bad_epsilon_exits_3(chain_file, capsys):
     assert main(["analyze", "--input", str(chain_file), "--epsilon", "nonsense"]) == 3
     assert "config error" in capsys.readouterr().err
