@@ -195,10 +195,11 @@ def read_chain_file(path, fmt: str | None = None) -> list[LabeledChain]:
     CSV requires a header with a ``label`` column and may carry ``chain_id``
     (several chains per file) and ``iteration`` (validated to be consecutive
     integers within each chain; gaps are rejected rather than guessed over).
-    Labels are stripped and blank lines skipped. The file must be UTF-8:
-    malformed input (bytes that are not UTF-8, a row with fewer fields than
-    the header, a CSV field over ``csv.field_size_limit()``) raises
-    `ChainFileError` naming the file and the physical line.
+    Labels are stripped and blank lines skipped. The file must be UTF-8; one
+    leading byte-order mark is skipped. Malformed input (bytes that are not
+    UTF-8, a row with fewer fields than the header, a CSV field over
+    ``csv.field_size_limit()``) raises `ChainFileError` naming the file and
+    the physical line.
 
     Parameters
     ----------
@@ -220,7 +221,7 @@ def read_chain_file(path, fmt: str | None = None) -> list[LabeledChain]:
 
 
 def _read_lines(path: Path) -> LabeledChain:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # -sig: drop one leading byte-order mark
         labels = [line.strip() for line in fh]
     labels = [lab for lab in labels if lab]
     if not labels:
@@ -291,7 +292,7 @@ def _columns(path: Path, header: list) -> tuple:
 
 def _scan_rows(path: Path) -> tuple:
     """The pass over any CSV, one ``csv.reader`` row at a time."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -329,6 +330,8 @@ def _scan_plain(path: Path) -> tuple | None:
     limit, header = csv.field_size_limit(), None
     pairs, codes, iters = {}, array("q"), array("q")
     with open(path, "rb") as fh:
+        if fh.read(3) != b"\xef\xbb\xbf":  # a leading UTF-8 byte-order mark is skipped
+            fh.seek(0)
         for data in iter(lambda: fh.read(_BLOCK) + fh.readline(), b""):  # whole lines
             utf8 = data.isascii() or data.decode("utf-8", "replace").encode() == data
             if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n") or not utf8:
@@ -390,7 +393,7 @@ def _same_as_previous(buf, starts, ends):
 
 def _line_of(path: Path, row: int) -> int:
     """Physical line on which data row ``row`` (0-based, blank lines skipped) ends."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         ends = (reader.line_num for fields in reader if fields)

@@ -5,7 +5,8 @@ the transition matrix, and reports uncertainty summaries, Bayes factors,
 subset probabilities, rank stability, and the effective sample size.
 ``chainuq bench`` runs the synthetic coverage study.
 
-Exit codes: 0 success, 1 input error, 2 numerical failure, 3 config error.
+Exit codes: 0 success, 1 input error, 2 numerical failure, 3 config error;
+each error class in `chainuq.errors` carries its own code.
 """
 
 from __future__ import annotations
@@ -22,40 +23,11 @@ import numpy as np
 from . import __version__
 from .benchmark import run_coverage_experiment
 from .chains import count_transitions, merge_counts, read_chain_file
-from .errors import (
-    ChainFileError,
-    ChainUQError,
-    ConfigError,
-    DegenerateRowError,
-    DegenerateSamplesError,
-    DomainError,
-    EmptyChainError,
-    EmptyMergeError,
-    InsufficientTransitionsError,
-    LabelError,
-    NonStochasticError,
-    NoUniqueStationaryError,
-)
+from .errors import ChainUQError, ConfigError, LabelError
 from .ess import effective_sample_size
 from .sampling import PriorSpec, draw_posterior, point_estimate
 from .stationary import classify_support
 from .summaries import _reject_repeats, bayes_factors, rank_stability, subset_probability, summarize
-
-INPUT_ERRORS = (
-    ChainFileError,
-    EmptyChainError,
-    InsufficientTransitionsError,
-    EmptyMergeError,
-    OSError,
-)
-NUMERICAL_ERRORS = (
-    DegenerateRowError,
-    NoUniqueStationaryError,
-    NonStochasticError,
-    DomainError,
-    DegenerateSamplesError,
-)
-CONFIG_ERRORS = (ConfigError, LabelError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -534,6 +506,8 @@ def _run_analyze(args) -> int:
         raise ConfigError("--draws must be at least 2; the ESS fit needs two draws")
     if args.top_k is not None and args.top_k < 1:
         raise ConfigError("--top-k must be at least 1")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     seed = args.seed
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
@@ -573,12 +547,15 @@ def _run_analyze(args) -> int:
 def _run_bench(args) -> int:
     pi = _parse_floats(args.pi, "--pi")
     betas = _parse_floats(args.beta_grid, "--beta-grid")
-    if not pi or abs(sum(pi) - 1.0) > 1e-9 or any(p < 0 for p in pi):
+    # every comparison with NaN is false, so a NaN entry fails the range test
+    if not pi or any(not 0.0 <= p <= 1.0 for p in pi) or abs(sum(pi) - 1.0) > 1e-9:
         raise ConfigError(f"--pi must be a probability vector summing to 1, got {args.pi!r}")
     if not betas or any(not 0.0 <= b <= 1.0 for b in betas):
         raise ConfigError(f"--beta-grid values must lie in [0, 1], got {args.beta_grid!r}")
     if args.iterations < 2 or args.replications < 1 or args.draws < 2:
         raise ConfigError("--iterations and --draws must be >= 2, --replications >= 1")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     result = run_coverage_experiment(
         pi,
         betas,
@@ -606,18 +583,12 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return _run_analyze(args)
         return _run_bench(args)
-    except CONFIG_ERRORS as exc:
-        print(f"chainuq: config error: {exc}", file=sys.stderr)
-        return 3
-    except NUMERICAL_ERRORS as exc:
-        print(f"chainuq: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except INPUT_ERRORS as exc:
+    except OSError as exc:
         print(f"chainuq: input error: {exc}", file=sys.stderr)
         return 1
-    except ChainUQError as exc:  # safety net for uncategorized package errors
-        print(f"chainuq: error: {exc}", file=sys.stderr)
-        return 2
+    except ChainUQError as exc:  # each class carries its own exit code and label
+        print(f"chainuq: {exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def entry() -> None:

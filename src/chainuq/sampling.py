@@ -161,32 +161,27 @@ class _GammaPlan:
         self.small_inverse = 1.0 / shapes[self.small]
         self.n_small = int(self.small.sum())
 
-    def log_variates(
-        self, rng: np.random.Generator, n_matrices: int | None = None
-    ) -> np.ndarray:
-        """Log-gamma variates in the plan's shape, or a stack of ``n_matrices``.
+    def log_variates(self, rng: np.random.Generator, n_matrices: int) -> np.ndarray:
+        """Log-gamma variates for a stack of ``n_matrices`` in the plan's shape.
 
-        Either way the stream is consumed by the same three calls, in order:
-        the shapes >= 1, the boosted small shapes, then the uniforms.
+        The stream is consumed by three calls, in order: the shapes >= 1, the
+        boosted small shapes, then the uniforms.
         """
-        lead = () if n_matrices is None else (n_matrices,)
-        out = np.full(lead + self.shape, -np.inf)
+        out = np.full((n_matrices,) + self.shape, -np.inf)
         if self.large_shapes.size:
-            g = rng.standard_gamma(self.large_shapes, size=lead + self.large_shapes.shape)
-            out[..., self.large] = np.log(g)
+            g = rng.standard_gamma(self.large_shapes, size=(n_matrices,) + self.large_shapes.shape)
+            out[:, self.large] = np.log(g)
         if self.n_small:
             boosted = rng.standard_gamma(
-                self.small_boosted, size=lead + self.small_boosted.shape
+                self.small_boosted, size=(n_matrices,) + self.small_boosted.shape
             )
             # log of a Uniform(0, 1] variate; avoids log(0)
-            log_u = np.log1p(-rng.random(lead + (self.n_small,)))
-            out[..., self.small] = np.log(boosted) + log_u * self.small_inverse
+            log_u = np.log1p(-rng.random((n_matrices, self.n_small)))
+            out[:, self.small] = np.log(boosted) + log_u * self.small_inverse
         return out
 
-    def rows(
-        self, rng: np.random.Generator, n_matrices: int | None = None
-    ) -> np.ndarray:
-        """Row-normalized gamma variates: one matrix, or ``n_matrices`` stacked."""
+    def rows(self, rng: np.random.Generator, n_matrices: int) -> np.ndarray:
+        """Row-normalized gamma variates, ``n_matrices`` stacked."""
         log_g = self.log_variates(rng, n_matrices)
         log_g -= log_g.max(axis=-1, keepdims=True)
         w = np.exp(log_g)
@@ -195,9 +190,7 @@ class _GammaPlan:
 
 def sample_dirichlet(alpha, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Draw Dirichlet(alpha) samples via normalized gamma variates."""
-    alpha = np.asarray(alpha, dtype=float)
-    shapes = np.broadcast_to(alpha, (n_samples, alpha.size))
-    return _GammaPlan(np.array(shapes)).rows(rng)
+    return _GammaPlan(alpha).rows(rng, n_samples)
 
 
 def _posterior_shapes(counts: TransitionCounts, prior: PriorSpec) -> np.ndarray:
@@ -222,7 +215,7 @@ def sample_transition_matrix(
     DegenerateRowError
         If some row has neither counts nor prior weight anywhere.
     """
-    return _GammaPlan(_posterior_shapes(counts, prior)).rows(rng)
+    return _GammaPlan(_posterior_shapes(counts, prior)).rows(rng, 1)[0]
 
 
 def _block_draws(n_models: int) -> int:

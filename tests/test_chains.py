@@ -163,6 +163,14 @@ def test_read_lines_file(tmp_path):
     assert chain.length == 3
 
 
+def test_read_lines_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "chain.txt"
+    path.write_bytes(b"\xef\xbb\xbfA\nB\nA\nB\n")
+    (chain,) = read_chain_file(path)
+    assert chain.labels == ("A", "B")
+    assert chain.length == 4
+
+
 def test_read_lines_empty_file_raises(tmp_path):
     path = tmp_path / "chain.txt"
     path.write_text("\n\n", encoding="utf-8")
@@ -269,9 +277,25 @@ def test_read_csv_iteration_does_not_wrap_around(tmp_path):
     )
 
 
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+def test_read_csv_skips_byte_order_mark(tmp_path, quote):
+    path = tmp_path / "chains.csv"
+    path.write_bytes(f"\ufeffchain_id,label\na,{quote}A{quote}\na,B\nb,B\nb,A\n".encode())
+    assert (chains_module._scan_plain(path) is None) == bool(quote)
+    assert read_as_lists(path) == [(("A", "B"), [0, 1]), (("B", "A"), [0, 1])]
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+def test_read_csv_byte_order_mark_keeps_iteration_check(tmp_path, quote):
+    path = tmp_path / "chains.csv"
+    path.write_bytes(f"\ufeffiteration,label\n1,{quote}A{quote}\n\n3,B\n".encode())
+    assert (chains_module._scan_plain(path) is None) == bool(quote)
+    assert read_error(path) == f"{path}:4: iteration 3 does not follow 1 consecutively in chain ''"
+
+
 def oracle_read_csv(path):
     """Row-by-row reference reader: (labels, indices) per chain, or the error."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         column = {name: i for i, name in enumerate(header)}
@@ -322,7 +346,7 @@ FAULTS = ["empty", "blank label", "gap", "repeat", "text", "short", "long"]
 
 @st.composite
 def csv_files(draw, plain=False):
-    """CSV text with optional chain_id/iteration columns, blank lines and a few faults.
+    """CSV text with optional byte-order mark, chain_id/iteration columns, blank lines and faults.
 
     ``plain`` files hold no quote, LF or CRLF line ends, unpadded iterations
     and multi-byte or Unicode-space-padded labels; the others go through
@@ -345,6 +369,7 @@ def csv_files(draw, plain=False):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator=eol)
     write = (lambda row: out.write(",".join(row) + eol)) if plain else writer.writerow
+    out.write(draw(st.sampled_from(["", "\ufeff"])))
     write(header)
     for k in range(n):
         cid, fault = chains[k], faults.get(k)

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import chainuq
+from chainuq import errors
 from chainuq.cli import analyze_chains, main
 from chainuq.errors import ConfigError
 
@@ -309,6 +311,55 @@ def test_bench_identical_seed_is_byte_identical(tmp_path, capsys):
 
 def test_bench_bad_pi_exits_3(capsys):
     assert main(["bench", "--pi", "0.7,0.7"]) == 3
+
+
+def test_bench_nan_pi_exits_3(tmp_path, capsys):
+    assert main(["bench", "--pi", "nan,0.5,0.5", "--out", str(tmp_path / "cov")]) == 3
+    assert "--pi must be a probability vector" in capsys.readouterr().err
+
+
+def test_bench_negative_seed_exits_3(tmp_path, capsys):
+    assert main(["bench", "--seed", "-3", "--out", str(tmp_path / "cov")]) == 3
+    assert "--seed must be nonnegative" in capsys.readouterr().err
+
+
+def test_analyze_negative_seed_exits_3_before_reading(capsys):
+    assert main(["analyze", "--input", "/nonexistent.csv", "--seed", "-1"]) == 3
+    assert "--seed must be nonnegative" in capsys.readouterr().err
+
+
+# the CLI's contract, pinned here rather than read from the classes
+EXIT_CODES = {
+    errors.ChainUQError: (2, "error"),
+    errors.EmptyChainError: (1, "input error"),
+    errors.InsufficientTransitionsError: (1, "input error"),
+    errors.EmptyMergeError: (1, "input error"),
+    errors.ChainFileError: (1, "input error"),
+    errors.DegenerateRowError: (2, "numerical failure"),
+    errors.NonStochasticError: (2, "numerical failure"),
+    errors.NoUniqueStationaryError: (2, "numerical failure"),
+    errors.DomainError: (2, "numerical failure"),
+    errors.DegenerateSamplesError: (2, "numerical failure"),
+    errors.LabelError: (3, "config error"),
+    errors.ConfigError: (3, "config error"),
+    OSError: (1, "input error"),
+}
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys, cls):
+    def fail(path, fmt=None):
+        raise cls("boom")
+
+    monkeypatch.setattr("chainuq.cli.read_chain_file", fail)
+    code, kind = EXIT_CODES[cls]
+    assert main(["analyze", "--input", "chain.txt"]) == code
+    assert capsys.readouterr().err == f"chainuq: {kind}: {cls('boom')}\n"
+
+
+def test_exit_code_table_covers_every_error_class():
+    in_module = {cls for _, cls in inspect.getmembers(errors, inspect.isclass)}
+    assert in_module | set(errors.ChainUQError.__subclasses__()) <= set(EXIT_CODES)
 
 
 def test_cli_import_does_not_load_scipy_stats():
