@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -49,9 +50,13 @@ def _parse_epsilon(text: str) -> PriorSpec:
     if text.startswith("matrix:"):
         path = text.split(":", 1)[1]
         try:
-            matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # an empty file is reported below instead
+                warnings.simplefilter("ignore")
+                matrix = np.loadtxt(path, delimiter=",", ndmin=2)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read epsilon matrix from {path!r}: {exc}") from None
+        if matrix.size == 0:
+            raise ConfigError(f"epsilon matrix file {path!r} holds no numbers")
         return PriorSpec.from_matrix(matrix)
     raise ConfigError(
         f"epsilon must be 'default_reduced', 'fixed:<value>' or 'matrix:<path>', got {text!r}"
@@ -66,9 +71,13 @@ def _parse_ci(text: str) -> tuple:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"cannot parse --ci levels from {text!r}") from None
-    if not (0.0 < lo < hi < 1.0):
-        raise ConfigError(f"--ci levels must satisfy 0 < lo < hi < 1, got {text!r}")
-    return lo, hi
+    return _check_levels((lo, hi))
+
+
+def _check_levels(levels) -> tuple:
+    if len(levels) != 2 or not 0.0 < levels[0] < levels[1] < 1.0:
+        raise ConfigError(f"--ci levels must satisfy 0 < lo < hi < 1, got {tuple(levels)}")
+    return tuple(levels)
 
 
 def _parse_subset(text: str, position: int) -> tuple:
@@ -167,8 +176,21 @@ def _clean(value):
     return value
 
 
-def _check_names(declared, subsets) -> None:
-    """Reject a model declared twice and an empty or repeated subset name."""
+def _check_settings(n_draws, seed, levels, k_top, declared, subsets) -> None:
+    """Reject the settings that would otherwise fail only after counting.
+
+    The messages name the CLI flag too, since ``chainuq analyze`` calls this
+    before it reads any input.
+    """
+    if n_draws < 2:
+        raise ConfigError(
+            f"n_draws must be at least 2 (--draws); the ESS fit needs two draws, got {n_draws}"
+        )
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
+    _check_levels(levels)
+    if k_top is not None and k_top < 1:
+        raise ConfigError(f"k_top must be at least 1 (--top-k), got {k_top}")
     _reject_repeats(declared, "declared model list")
     subset_names = [name for name, _ in subsets]
     if "" in subset_names:
@@ -199,14 +221,13 @@ def analyze_chains(
     ------
     ConfigError
         If ``n_draws`` is below 2, which leaves the ESS fit and the
-        standard deviations undefined.
+        standard deviations undefined, ``seed`` is negative, ``levels`` are
+        not 0 < lo < hi < 1, or ``k_top`` is below 1; checked before counting.
     LabelError
         If ``declared`` names a model more than once, or a subset name is
         empty or repeated.
     """
-    if n_draws < 2:
-        raise ConfigError(f"n_draws must be at least 2; the ESS fit needs two draws, got {n_draws}")
-    _check_names(declared, subsets)
+    _check_settings(n_draws, seed, levels, k_top, declared, subsets)
     counts = merge_counts([count_transitions(c) for c in chains])
     draws = draw_posterior(counts, prior, n_draws=n_draws, seed=seed)
     summary = summarize(draws, levels=levels)
@@ -274,7 +295,10 @@ def analyze_chains(
     if not ess_est.converged:
         warnings.append({
             "code": "dirichlet_fit_not_converged",
-            "message": "shape fit hit its iteration budget; t_eff uses the best iterate",
+            "message": (
+                "the Dirichlet fit did not converge (draws equal to rounding, or its "
+                "step budget ran out); t_eff is not determined"
+            ),
         })
     if ess_est.approximate:
         warnings.append({
@@ -502,12 +526,6 @@ def _write_output(text: str, path: str) -> None:
 
 def _run_analyze(args) -> int:
     # every flag is parsed before any input is read, so a bad flag exits 3 first
-    if args.draws < 2:
-        raise ConfigError("--draws must be at least 2; the ESS fit needs two draws")
-    if args.top_k is not None and args.top_k < 1:
-        raise ConfigError("--top-k must be at least 1")
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     seed = args.seed
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
@@ -516,7 +534,7 @@ def _run_analyze(args) -> int:
     subsets = [_parse_subset(s, i + 1) for i, s in enumerate(args.subset)]
     bf_pairs = [_parse_pair(p) for p in args.bf]
     declared = _parse_labels(args.declared)
-    _check_names(declared, subsets)
+    _check_settings(args.draws, seed, levels, args.top_k, declared, subsets)
     chains = []
     for path in args.input:
         chains.extend(read_chain_file(path, args.format))

@@ -5,17 +5,22 @@ plus the asymptotic series (Bernardo 1976, Algorithm AS 103), on Python
 floats: faster than numpy on the fit's few-element arrays, and no scipy
 import. ``inverse_digamma`` inverts digamma by Newton's method.
 
-The fitter is built around the fixed-point update of Minka (2000),
-"Estimating a Dirichlet distribution": each sweep solves
+The fitter solves the likelihood equations of Minka (2000), "Estimating a
+Dirichlet distribution",
 
-    digamma(alpha_i) = digamma(sum_j alpha_j) + mean_r log x_i^(r)
+    digamma(alpha_i) = digamma(s) + mean_r log x_i^(r),   s = sum_j alpha_j,
 
-for all components simultaneously. Every sweep increases the likelihood and
-the iteration converges to the unique maximum-likelihood estimate. Because
-the plain iteration contracts only at rate 1 - O(1/sum(alpha)), sweeps are
-interleaved with a Newton step on the shape total (the map's state collapses
-to that scalar); an accelerated candidate is accepted only when it does not
-decrease the likelihood, so the recorded path stays monotone.
+which give every shape alpha_i(s) once the total s is known, so the
+maximum-likelihood total is the root of one scalar function,
+h(s) = sum_i alpha_i(s) - s, with slope
+h'(s) = trigamma(s) * sum_i 1 / trigamma(alpha_i(s)) - 1. h is concave and
+lies below its asymptote (c - 1) s + (I - c) / 2, where
+c = sum_i exp(mean_r log x_i^(r)) <= 1, so Newton's method started at the
+asymptote's root falls monotonically to the root of h. Along alpha(s) the
+log-likelihood's slope has the sign of h, so it never decreases on the way,
+with no likelihood test or step control. When 1 - c <= 0 in floating point
+(every sample equal to rounding, or a single component) no finite maximum
+exists.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 from .errors import DegenerateSamplesError, DomainError
 
 SAMPLE_CLAMP = 1e-300  # floor applied to sample entries before taking logs
+MAX_NEWTON_STEPS = 50  # bound on the fit's Newton solve; converging fits take 2 to 7 steps
 
 
 def _psi_psi1_float(v: float) -> tuple[float, float]:
@@ -81,9 +87,16 @@ def trigamma(x):
     return _elementwise(lambda v: _psi_psi1(v)[1], x, "trigamma")
 
 
-def _invert_digamma(y: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Solve digamma(x) = y by Newton from ``start``, to full precision."""
-    x = np.maximum(np.asarray(start, dtype=float), np.finfo(float).tiny)
+def _invert_digamma(y: np.ndarray) -> np.ndarray:
+    """Solve digamma(x) = y by Newton's method, to full precision.
+
+    Starts from the standard two-branch initializer: exp(y) + 1/2 for
+    y >= -2.22 and -1/(y + euler_gamma) below.
+    """
+    with np.errstate(divide="ignore"):
+        x = np.where(
+            y >= -2.22, np.exp(np.minimum(y, 700.0)) + 0.5, -1.0 / (y + np.euler_gamma)
+        )
     for _ in range(40):
         psi, psi1 = _psi_psi1(x)
         step = (psi - y) / psi1
@@ -98,17 +111,10 @@ def _invert_digamma(y: np.ndarray, start: np.ndarray) -> np.ndarray:
 def inverse_digamma(y):
     """Inverse of digamma on (0, inf), scalar or array.
 
-    Newton's method from the standard two-branch initializer: exp(y) + 1/2
-    for y >= -2.22 and -1/(y + euler_gamma) below, iterated to full
-    precision (round-trip accuracy well under 1e-10).
+    Round-trip accuracy is well under 1e-10.
     """
     scalar = np.isscalar(y)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    with np.errstate(over="ignore", divide="ignore"):
-        x = np.where(
-            y >= -2.22, np.exp(np.minimum(y, 700.0)) + 0.5, -1.0 / (y + np.euler_gamma)
-        )
-    x = _invert_digamma(y, start=x)
+    x = _invert_digamma(np.atleast_1d(np.asarray(y, dtype=float)))
     return float(x[0]) if scalar else x
 
 
@@ -119,16 +125,18 @@ class DirichletFit:
     Attributes
     ----------
     alpha : ndarray
-        Estimated shape parameters, all > 0.
+        Estimated shape parameters, all > 0; infinite when no finite
+        maximum exists.
     iterations : int
-        Number of update sweeps performed.
+        Number of Newton steps on the shape total.
     converged : bool
-        True when the fixed-point residual dropped to the tolerance
-        (infinity norm).
+        True when the last Newton correction was at most 1e-12 of the
+        total; False when no finite maximum exists or the step budget ran
+        out.
     log_likelihood : float
-        Log-likelihood at the returned estimate.
+        Log-likelihood at the returned estimate (NaN when no step was taken).
     log_likelihood_path : ndarray
-        Log-likelihood after the start value and after each sweep.
+        Log-likelihood at each Newton step, one entry per step.
     clamped : bool
         True when sample entries were floored at the clamping threshold
         before taking logs; the fit is then approximate.
@@ -147,53 +155,18 @@ def _log_likelihood(alpha, mean_log, n_samples):
     return float(n_samples * (math.lgamma(alpha.sum()) - lgammas + ((alpha - 1.0) * mean_log).sum()))
 
 
-def _moment_start(samples):
-    """Method-of-moments starting value; all-ones when moments degenerate."""
-    m = samples.mean(axis=0)
-    m2 = (samples * samples).mean(axis=0)
-    denom = m2 - m * m
-    if np.all(denom > 0) and np.all(m > 0):
-        total = np.mean((m - m2) / denom)
-        alpha = m * total
-        if np.all(np.isfinite(alpha)) and np.all(alpha > 0):
-            return alpha
-    return np.ones(samples.shape[1])
-
-
-def _accelerated_total(alpha, alpha_next):
-    """Newton step on the shape total for the map s -> sum of updates.
-
-    The update vector is a function of the previous shape total s alone, so
-    the iteration is a scalar fixed point s = g(s) with derivative
-    g'(s) = psi1(s) * sum(1 / psi1(alpha_next)). Returns the extrapolated
-    total, or None when the local slope gives no usable step.
-    """
-    s = alpha.sum()
-    g = alpha_next.sum()
-    slope = float(_psi_psi1_float(float(s))[1] * (1.0 / _psi_psi1(alpha_next)[1]).sum())
-    if not np.isfinite(slope) or not 0.0 < slope < 1.0 - 1e-12:
-        return None
-    s_acc = s + (g - s) / (1.0 - slope)
-    # trust region: never jump more than two orders of magnitude at once
-    if not np.isfinite(s_acc) or not (s / 100.0) < s_acc < (s * 100.0):
-        return None
-    return s_acc
-
-
-def fit_dirichlet(samples, tolerance: float = 1e-8, max_iter: int = 10_000) -> DirichletFit:
+def fit_dirichlet(samples) -> DirichletFit:
     """Fit Dirichlet shape parameters to simplex-valued samples by ML.
+
+    Newton's method on the shape total (see the module docstring), stopped
+    when the correction is at most 1e-12 of the total or after
+    ``MAX_NEWTON_STEPS`` steps.
 
     Parameters
     ----------
     samples : array-like, shape (R, I)
         R >= 2 simplex vectors. Entries below 1e-300 are clamped before logs
         are taken and the fit is flagged approximate.
-    tolerance : float
-        Convergence threshold: infinity norm of the fixed-point residual at
-        the returned estimate.
-    max_iter : int
-        Sweep budget; on exhaustion the best iterate is returned with
-        ``converged=False``.
 
     Raises
     ------
@@ -204,7 +177,7 @@ def fit_dirichlet(samples, tolerance: float = 1e-8, max_iter: int = 10_000) -> D
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise DegenerateSamplesError(f"expected a 2-d sample array, got shape {x.shape}")
-    n_samples = x.shape[0]
+    n_samples, n_components = x.shape
     if n_samples < 2:
         raise DegenerateSamplesError("at least two samples are required")
     if np.any(x < 0) or not np.all(np.isfinite(x)):
@@ -219,41 +192,27 @@ def fit_dirichlet(samples, tolerance: float = 1e-8, max_iter: int = 10_000) -> D
         x = np.maximum(x, SAMPLE_CLAMP)
     mean_log = np.log(x).mean(axis=0)
 
-    alpha = _moment_start(x)
-    ll = _log_likelihood(alpha, mean_log, n_samples)
-    ll_path = [ll]
+    c = float(np.exp(mean_log).sum())
+    s = (n_components - c) / (2.0 * (1.0 - c)) if c < 1.0 else math.inf
+    alpha = np.full(n_components, math.inf)
+    ll_path = []
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        target = _psi_psi1_float(float(alpha.sum()))[0] + mean_log
-        alpha_next = _invert_digamma(target, start=alpha)
-        if not np.all(np.isfinite(alpha_next)) or not np.all(alpha_next > 0):
-            iterations -= 1
-            break
-        delta = np.abs(alpha_next - alpha).max()
-        if delta <= tolerance:
-            # alpha_next is the map's image of alpha, so this bounds the
-            # fixed-point residual at the returned estimate
-            alpha = alpha_next
-            ll_path.append(_log_likelihood(alpha, mean_log, n_samples))
+    while len(ll_path) < MAX_NEWTON_STEPS and 0.0 < s < math.inf:
+        psi, psi1 = _psi_psi1_float(s)
+        alpha = _invert_digamma(psi + mean_log)
+        ll_path.append(_log_likelihood(alpha, mean_log, n_samples))
+        correction = (alpha.sum() - s) / (psi1 * (1.0 / _psi_psi1(alpha)[1]).sum() - 1.0)
+        # exact iterates only fall, so a correction that would raise s is
+        # rounding at the root: the total is as settled as it can get
+        if correction <= 1e-12 * s:
             converged = True
             break
-        ll_next = _log_likelihood(alpha_next, mean_log, n_samples)
-        s_acc = _accelerated_total(alpha, alpha_next)
-        if s_acc is not None:
-            target_acc = _psi_psi1_float(float(s_acc))[0] + mean_log
-            candidate = _invert_digamma(target_acc, start=alpha_next)
-            if np.all(np.isfinite(candidate)) and np.all(candidate > 0):
-                ll_cand = _log_likelihood(candidate, mean_log, n_samples)
-                if ll_cand >= ll_next:
-                    alpha_next, ll_next = candidate, ll_cand
-        alpha = alpha_next
-        ll_path.append(ll_next)
+        s -= correction
     return DirichletFit(
         alpha=alpha,
-        iterations=iterations,
+        iterations=len(ll_path),
         converged=converged,
-        log_likelihood=ll_path[-1],
+        log_likelihood=ll_path[-1] if ll_path else math.nan,
         log_likelihood_path=np.asarray(ll_path),
         clamped=clamped,
     )

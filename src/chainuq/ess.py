@@ -89,8 +89,9 @@ class EssEstimate:
     t_eff : float
         Estimated number of equivalent independent draws: the fitted shape
         total minus the prior weight. Reported as 0.0 (with ``negative``
-        set) when the subtraction dips below zero, and as NaN for a chain
-        that visited a single model.
+        set) when the subtraction dips below zero, as NaN for a chain that
+        visited a single model, and as infinite when the draws are equal to
+        rounding, so the fit has no finite maximum.
     alpha_hat : ndarray or None
         Fitted Dirichlet shapes for the stationary draws.
     prior_weight : float
@@ -123,17 +124,14 @@ class EssEstimate:
         return self.fit is not None and self.fit.clamped
 
 
-def effective_sample_size(
-    draws: PosteriorDraws,
-    tolerance: float = 1e-8,
-    max_iter: int = 10_000,
-) -> EssEstimate:
+def effective_sample_size(draws: PosteriorDraws) -> EssEstimate:
     """Effective sample size implied by the stationary-distribution draws.
 
-    Fits Dirichlet shapes to the draws and subtracts the prior mass that the
-    transition-matrix model contributed, using exactly the per-cell weights
-    the draws were sampled with. Stable estimates need on the order of 1000
-    draws or more.
+    Fits Dirichlet shapes to the draws by maximum likelihood (one Newton
+    solve on the shape total, see `fit_dirichlet`) and subtracts the prior
+    mass that the transition-matrix model contributed, using exactly the
+    per-cell weights the draws were sampled with. Stable estimates need on
+    the order of 1000 draws or more.
     """
     t_raw = draws.source.total_iterations
     prior_weight = draws.prior_mass
@@ -149,7 +147,7 @@ def effective_sample_size(
             fit=None,
             single_model=True,
         )
-    fit = fit_dirichlet(draws.draws, tolerance=tolerance, max_iter=max_iter)
+    fit = fit_dirichlet(draws.draws)
     t_eff = float(fit.alpha.sum() - prior_weight)
     negative = t_eff < 0
     if negative:

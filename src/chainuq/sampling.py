@@ -255,6 +255,8 @@ def draw_posterior(
 
     Raises
     ------
+    ConfigError
+        If ``n_draws`` is below 1 or ``seed`` is negative.
     DegenerateRowError
         Propagated from row sampling.
     NoUniqueStationaryError
@@ -263,6 +265,8 @@ def draw_posterior(
     """
     if n_draws < 1:
         raise ConfigError("n_draws must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     if prior is None:
         prior = PriorSpec.default()
     prior_mass = float(prior.resolve(counts.n_models).sum())

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,42 @@ def test_analyze_chains_rejects_single_draw():
     chain = chainuq.index_chain(["A", "B", "A", "B", "B"])
     with pytest.raises(ConfigError, match="n_draws must be at least 2"):
         analyze_chains([chain], prior=chainuq.PriorSpec.default(), n_draws=1, seed=0)
+
+
+def _analyze_one_model_chain(**settings):
+    # counting rejects a one-step chain, so only a check made first can answer
+    chain = chainuq.index_chain(["A"])
+    defaults = {"prior": chainuq.PriorSpec.default(), "n_draws": 2, "seed": 0}
+    return analyze_chains([chain], **{**defaults, **settings})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: chainuq.draw_posterior(
+            chainuq.count_transitions(chainuq.index_chain(["A", "B", "A"])), n_draws=2, seed=-1
+        ),
+        lambda: _analyze_one_model_chain(seed=-1),
+        lambda: _analyze_one_model_chain(k_top=0),
+        lambda: _analyze_one_model_chain(levels=(0.9, 0.1)),
+    ],
+    ids=["draw_posterior-seed", "analyze_chains-seed", "analyze_chains-k_top", "analyze_chains-levels"],
+)
+def test_library_rejects_bad_setting_with_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+def test_empty_epsilon_matrix_is_one_config_error(chain_file, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", "--input", str(chain_file), "--epsilon", f"matrix:{empty}"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"chainuq: config error: epsilon matrix file {str(empty)!r} holds no numbers\n"
+    )
 
 
 def test_bench_single_draw_exits_3(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from chainuq.benchmark import MixtureChainSpec, generate_chain
 from chainuq.chains import count_transitions
-from chainuq.dirichlet import digamma, fit_dirichlet, inverse_digamma, trigamma
+from chainuq.dirichlet import MAX_NEWTON_STEPS, digamma, fit_dirichlet, inverse_digamma, trigamma
 from chainuq.errors import DegenerateSamplesError, DomainError
 from chainuq.sampling import PriorSpec, draw_posterior, sample_dirichlet
 
@@ -125,6 +125,7 @@ def test_fit_concentrated_samples_diverges_or_flags():
     samples = np.abs(samples)
     samples /= samples.sum(axis=1, keepdims=True)
     fit = fit_dirichlet(samples)
+    assert fit.iterations <= MAX_NEWTON_STEPS
     assert (not fit.converged) or np.all(fit.alpha >= 1e6)
 
 
@@ -141,12 +142,11 @@ def test_fit_log_likelihood_never_decreases():
 def test_fit_fixed_point_self_consistency():
     rng = np.random.default_rng(3)
     samples = sample_dirichlet(np.array([2.0, 5.0]), 20_000, rng)
-    tol = 1e-8
-    fit = fit_dirichlet(samples, tolerance=tol)
+    fit = fit_dirichlet(samples)
     assert fit.converged
     mean_log = np.log(samples).mean(axis=0)
     mapped = inverse_digamma(digamma(fit.alpha.sum()) + mean_log)
-    assert np.abs(mapped - fit.alpha).max() <= tol
+    assert np.abs(mapped - fit.alpha).max() <= 1e-12
 
 
 def test_fit_rejects_single_sample():
@@ -179,28 +179,64 @@ def _posterior_draws(pi, beta, iterations):
     return draw_posterior(counts, PriorSpec.default(), n_draws=1000, seed=0).draws
 
 
+def _mpmath_root(samples):
+    """Root of h(s) = sum_i psi^-1(psi(s) + mean log x_i) - s, at 40 digits."""
+    with mpmath.workdps(40):
+        mean_log = [mpmath.mpf(float(v)) for v in np.log(samples).mean(axis=0)]
+
+        def inverse_psi(y):
+            start = mpmath.exp(y) + 0.5 if y >= -2.22 else -1 / (y + mpmath.euler)
+            return mpmath.findroot(lambda a: mpmath.digamma(a) - y, start)
+
+        def h(s):
+            psi = mpmath.digamma(s)
+            return sum(inverse_psi(psi + m) for m in mean_log) - s
+
+        c = sum(map(mpmath.exp, mean_log))
+        return float(mpmath.findroot(h, (len(mean_log) - c) / (2 * (1 - c))))
+
+
 @pytest.mark.parametrize(
-    "pi, beta, iterations, n_iter, total",
+    "pi, beta, iterations, steps",
     [
-        ((0.85, 0.13, 0.02), 0.8, 1000, 3, 79.21435311019134),
-        (PI_50, 0.0, 20_000, 2, 20228.1281503542),
-        (PI_50, 0.8, 20_000, 3, 2301.8824758121887),
+        # the third correction, 1.1e-12 of the total, is rounding at the
+        # root, so a last-bit change may end this fit one step earlier
+        ((0.85, 0.13, 0.02), 0.0, 1000, (3, 4)),
+        ((0.85, 0.13, 0.02), 0.8, 1000, (3,)),
+        (PI_50, 0.0, 20_000, (3,)),
+        (PI_50, 0.8, 20_000, (3,)),
     ],
-    ids=["I3-beta0.8", "I50-beta0", "I50-beta0.8"],
+    ids=["I3-beta0", "I3-beta0.8", "I50-beta0", "I50-beta0.8"],
 )
-def test_fit_pinned_regression(pi, beta, iterations, n_iter, total):
-    # values of the scipy.special-based fit that preceded the math kernel
-    fit = fit_dirichlet(_posterior_draws(pi, beta, iterations))
-    assert fit.iterations == n_iter
-    assert abs(fit.alpha.sum() - total) <= 1e-12 * total
-
-
-def test_fit_pinned_regression_rounding_decided_path():
-    # At I*=3, beta=0 the accelerated candidates land within rounding of the
-    # optimum, so whether the likelihood test accepts them, and with it the
-    # sweep count, turns on last-bit differences of lgamma and digamma (the
-    # scipy fit took 9 sweeps here, the math kernel takes 6). The returned
-    # total is pinned to the spread those paths leave, a few 1e-12.
-    fit = fit_dirichlet(_posterior_draws((0.85, 0.13, 0.02), 0.0, 1000))
+def test_fit_pinned_regression(pi, beta, iterations, steps):
+    samples = _posterior_draws(pi, beta, iterations)
+    fit = fit_dirichlet(samples)
     assert fit.converged
-    assert abs(fit.alpha.sum() - 1058.7340631495988) <= 1e-11 * 1058.7340631495988
+    assert fit.iterations in steps
+    root = _mpmath_root(samples)
+    assert abs(fit.alpha.sum() - root) <= 1e-11 * root
+
+
+@pytest.mark.parametrize(
+    "pi, iterations",
+    [
+        ((0.85, 0.13, 0.02), 100),
+        ((0.85, 0.13, 0.02), 1000),
+        # totals near 1e5, where the last corrections are rounding of either sign
+        ((0.85, 0.13, 0.02), 100_000),
+        (PI_50, 20_000),
+    ],
+    ids=["I3-T100", "I3-T1000", "I3-T100000", "I50-T20000"],
+)
+@pytest.mark.parametrize("beta", [0.0, 0.8])
+def test_fit_likelihood_path_never_decreases_on_posterior_draws(pi, iterations, beta):
+    samples = _posterior_draws(pi, beta, iterations)
+    fit = fit_dirichlet(samples)
+    assert fit.converged
+    assert len(fit.log_likelihood_path) == fit.iterations
+    # the log-likelihood is a difference of terms of about n * lgamma(total);
+    # its last steps change it by less than their rounding
+    scale = len(samples) * (
+        math.lgamma(fit.alpha.sum()) + sum(abs(math.lgamma(a)) for a in fit.alpha)
+    )
+    assert np.diff(fit.log_likelihood_path).min(initial=0.0) >= -1e-14 * scale
