@@ -22,6 +22,7 @@ import warnings
 import numpy as np
 
 from . import __version__
+from ._pool import map_units
 from .benchmark import run_coverage_experiment
 from .chains import count_transitions, merge_counts, read_chain_file
 from .errors import ChainUQError, ConfigError, LabelError
@@ -535,9 +536,9 @@ def _run_analyze(args) -> int:
     bf_pairs = [_parse_pair(p) for p in args.bf]
     declared = _parse_labels(args.declared)
     _check_settings(args.draws, seed, levels, args.top_k, declared, subsets)
-    chains = []
-    for path in args.input:
-        chains.extend(read_chain_file(path, args.format))
+    # files are read concurrently but joined, and their errors raised, in argument order
+    parts = map_units(lambda path: read_chain_file(path, args.format), args.input)
+    chains = [chain for part in parts for chain in part]
     report = analyze_chains(
         chains,
         prior=prior,

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._pool import map_units
 from .chains import TransitionCounts
 from .errors import ConfigError, DegenerateRowError, NoUniqueStationaryError
 from .stationary import REJECTED, _require_unique, _solve_stack
@@ -24,6 +25,10 @@ BLOCK_DRAWS = 256
 # Cap on the cells of one (B, I*, I*) block, so that large I* shrinks the
 # block instead of the memory growing as I*^2; below I* = 129 it never binds.
 BLOCK_CELLS = 1 << 22
+# Blocks of fewer cells than this run serially, since handing them to threads
+# costs more than it saves; measured on 2 cores, threads lose at I* <= 10 and
+# win from I* = 14-16 at 256 draws per block.
+POOL_CELLS = 1 << 16
 
 PRIOR_MODES = ("default_reduced", "uniform_fixed", "matrix")
 
@@ -182,10 +187,11 @@ class _GammaPlan:
 
     def rows(self, rng: np.random.Generator, n_matrices: int) -> np.ndarray:
         """Row-normalized gamma variates, ``n_matrices`` stacked."""
-        log_g = self.log_variates(rng, n_matrices)
-        log_g -= log_g.max(axis=-1, keepdims=True)
-        w = np.exp(log_g)
-        return w / w.sum(axis=-1, keepdims=True)
+        w = self.log_variates(rng, n_matrices)
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        return w
 
 
 def sample_dirichlet(alpha, n_samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -233,14 +239,17 @@ def draw_posterior(
     Draws come in blocks of 256 (fewer only when I* > 128, to bound memory).
     Block k samples its transition matrices from its own RNG stream, spawned
     from ``seed`` by block index, and every block is generated whole before
-    the result is truncated to ``n_draws``. Every matrix of a block, zero
+    the result is truncated to ``n_draws``. Blocks share no state, so blocks
+    of at least ``POOL_CELLS`` cells run concurrently on the CPUs the process
+    may use, each writing its own rows. Every matrix of a block, zero
     entries included, goes through one stacked GTH elimination, unclamped;
     transient states get exactly zero mass. Uniqueness is decided once, from
     the support of ``counts + prior``: a draw's support lies inside it, and
     dropping edges never lowers the number of closed classes (a draw whose
     underflowed zeros split it gets the vector of one closed class). Hence
-    results are a pure function of ``(counts, prior, n_draws, seed)``, and
-    draw r is the same for every ``n_draws > r`` (the prefix property).
+    results are a pure function of ``(counts, prior, n_draws, seed)``, not of
+    the number of CPUs, and draw r is the same for every ``n_draws > r`` (the
+    prefix property).
 
     Parameters
     ----------
@@ -282,13 +291,20 @@ def draw_posterior(
     n_blocks = -(-n_draws // block)
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
     out = np.empty((n_draws, n))
-    for k in range(n_blocks):
+
+    def fill(k):
         start = k * block
         p = plan.rows(np.random.default_rng(streams[k]), block)[: n_draws - start]
         pi, ok = _solve_stack(p)
         if not ok.all():
             raise NoUniqueStationaryError(f"draw {start + int(np.argmin(ok))}: {REJECTED}")
         out[start : start + len(p)] = pi
+
+    if block * n * n < POOL_CELLS:
+        for k in range(n_blocks):
+            fill(k)
+    else:
+        map_units(fill, range(n_blocks))
     return PosteriorDraws(
         draws=out, seed=int(seed), prior=prior, source=counts, prior_mass=prior_mass
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chainuq
-from chainuq import errors
+from chainuq import _pool, errors
 from chainuq.cli import analyze_chains, main
 from chainuq.errors import ConfigError
 
@@ -74,6 +74,38 @@ def test_analyze_csv_input_with_chain_ids(tmp_path, capsys):
 def test_missing_input_exits_1(capsys):
     assert main(["analyze", "--input", "/nonexistent/chain.txt"]) == 1
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_first_bad_input_in_argument_order_is_reported(tmp_path, capsys, monkeypatch, workers):
+    # the first file fails late and the second at once; the first is still named
+    monkeypatch.setattr(_pool, "cpu_count", lambda: workers)
+    late = tmp_path / "late.csv"
+    late.write_text("label,note\n" + "A,x\n" * 200_000 + "B\n", encoding="utf-8")
+    early = tmp_path / "early.csv"
+    early.write_text("label,note\nB\n", encoding="utf-8")
+    assert main(["analyze", "--input", str(late), "--input", str(early)]) == 1
+    assert capsys.readouterr().err.startswith(f"chainuq: input error: {late}:200002:")
+    missing = tmp_path / "missing.csv"
+    assert main(["analyze", "--input", str(missing), "--input", str(early)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chainuq: input error: ") and str(missing) in err
+
+
+def test_inputs_joined_in_argument_order_for_any_worker_count(tmp_path, capsys, monkeypatch):
+    args = ["analyze", "--seed", "4", "--draws", "200"]
+    for i, text in enumerate(["A\nB\nA\nC\n" * 20, "C\nD\nC\n" * 20, "B\nE\nB\nA\n" * 20]):
+        path = tmp_path / f"run{i}.txt"
+        path.write_text(text, encoding="utf-8")
+        args += ["--input", str(path)]
+    reports = []
+    for workers in (1, 8):
+        monkeypatch.setattr(_pool, "cpu_count", lambda: workers)
+        assert main(args + ["--out-format", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    # models are listed by first appearance across the inputs in argument order
+    assert [row["label"] for row in json.loads(reports[0])["models"]] == list("ABCDE")
 
 
 def test_empty_input_exits_1(tmp_path, capsys):
@@ -401,9 +433,12 @@ def test_exit_code_table_covers_every_error_class():
 
 def test_cli_import_does_not_load_scipy_stats():
     # scipy is most of the CLI's cold start and nothing on the analyze path needs
-    # it; only the i.i.d. baseline of ``chainuq bench`` imports it, on first use
+    # it; only the i.i.d. baseline of ``chainuq bench`` imports it, on first use.
+    # concurrent.futures (which loads logging) is imported only when a pool starts
     env = dict(os.environ, PYTHONPATH=str(Path(chainuq.__file__).parents[1]))
-    scipy_modules = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+    scipy_modules = (
+        "sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent.futures')))"
+    )
     code = (
         f"import sys, chainuq; print({scipy_modules}); "
         f"import chainuq.cli; print({scipy_modules})"

@@ -1,9 +1,14 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.stats as ss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainuq import _pool, sampling
 from chainuq.chains import TransitionCounts, count_transitions, index_chain
 from chainuq.errors import ConfigError, DegenerateRowError, NoUniqueStationaryError
 from chainuq.sampling import (
@@ -172,6 +177,97 @@ def test_large_model_blocks_keep_prefix():
     d2 = draw_posterior(counts, n_draws=400, seed=2)
     assert np.array_equal(d1.draws, d2.draws[:190])
     assert np.abs(d2.draws.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def bounded(fn, timeout=120.0):
+    """Run ``fn`` on a daemon thread and fail unless it returns within ``timeout`` s."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # handed back to the test's thread below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"did not finish within {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+@pytest.fixture
+def fast_switching():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n_models, short, long", [(47, 300, 700), (150, 190, 372)])
+def test_draws_do_not_depend_on_worker_count(monkeypatch, fast_switching, n_models, short, long):
+    # 8 workers is more than the cores; blocks must come back bit for bit, in
+    # order, and the prefix property must hold across worker counts
+    rng = np.random.default_rng(7)
+    counts = make_counts(rng.integers(0, 5, size=(n_models, n_models)))
+    solved_on = []
+    solve = sampling._solve_stack
+
+    def spy(p):
+        solved_on.append(threading.get_ident())
+        return solve(p)
+
+    monkeypatch.setattr(sampling, "_solve_stack", spy)
+
+    def draws(workers, n_draws):
+        """The draws, and for each block whether it ran on the calling thread."""
+        monkeypatch.setattr(_pool, "cpu_count", lambda: workers)
+        solved_on.clear()
+
+        def run():
+            return draw_posterior(counts, n_draws=n_draws, seed=2).draws, threading.get_ident()
+
+        out, caller = bounded(run)
+        return out, [ident == caller for ident in solved_on]
+
+    serial, inline = draws(1, short)
+    pooled, pooled_inline = draws(8, short)
+    pooled_long, _ = draws(8, long)
+    assert inline == [True, True]
+    assert pooled_inline == [False, False]
+    assert np.array_equal(pooled, serial)
+    assert np.array_equal(pooled_long[:short], serial)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 1e-3], ids=["no-underflow", "underflow"])
+def test_pooled_blocks_run_under_callers_error_state(monkeypatch, epsilon):
+    # worker threads start with numpy's default error state; under the caller's
+    # all="raise" both paths must return the same draws or raise the same error
+    rng = np.random.default_rng(3)
+    counts = make_counts(rng.integers(0, 3, size=(47, 47)))
+    outcomes = []
+    for workers in (1, 8):
+        monkeypatch.setattr(_pool, "cpu_count", lambda: workers)
+        with np.errstate(all="raise"):
+            try:
+                outcomes.append(draw_posterior(counts, PriorSpec.fixed(epsilon), 600, 1).draws)
+            except FloatingPointError as exc:
+                outcomes.append(repr(exc))
+    assert isinstance(outcomes[0], str) == (epsilon < 1)
+    assert np.array_equal(outcomes[0], outcomes[1])
+
+
+def test_cpu_count_falls_back_without_affinity(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _pool.cpu_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool.cpu_count() == 1
 
 
 def test_reducible_counts_with_zero_prior_raise_with_draw_index():
