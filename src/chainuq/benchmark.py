@@ -17,16 +17,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .chains import LabeledChain, count_transitions, index_chain
+from .errors import ConfigError
 from .ess import effective_sample_size, iid_posterior
 from .sampling import PriorSpec, draw_posterior
-from .summaries import summarize
-
-DEFAULT_LEVELS = (0.05, 0.95)
+from .summaries import DEFAULT_LEVELS, _check_levels, summarize
 
 
 @dataclass(frozen=True)
@@ -43,6 +42,12 @@ class MixtureChainSpec:
     iterations : int
         Chain length T >= 1.
     seed : int
+
+    Raises
+    ------
+    ConfigError
+        If ``pi_true`` is not a probability vector (NaN included), ``beta``
+        lies outside [0, 1] or ``iterations`` is below 1.
     """
 
     pi_true: tuple
@@ -52,14 +57,15 @@ class MixtureChainSpec:
 
     def __post_init__(self):
         pi = np.asarray(self.pi_true, dtype=float)
-        if pi.ndim != 1 or pi.size < 1 or np.any(pi < 0):
-            raise ValueError("pi_true must be a nonnegative vector")
-        if abs(pi.sum() - 1.0) > 1e-9:
-            raise ValueError(f"pi_true sums to {pi.sum()!r}, expected 1")
+        # every comparison with NaN is false, so these tests reject a NaN
+        if not (pi.ndim == 1 and pi.size and np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-9):
+            raise ConfigError(
+                f"--pi must be a probability vector summing to 1 (pi_true), got {pi.tolist()}"
+            )
         if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+            raise ConfigError(f"--beta-grid values must lie in [0, 1] (beta), got {self.beta!r}")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         object.__setattr__(self, "pi_true", tuple(float(v) for v in pi))
 
 
@@ -229,16 +235,29 @@ def run_coverage_experiment(
         full-scale study uses 500 replications with 5000 draws.
     progress : callable, optional
         Called as ``progress(message)`` after each beta finishes.
+
+    Raises
+    ------
+    ConfigError
+        Before the first replication, for any setting out of range;
+        `MixtureChainSpec` checks ``pi_true`` and each beta.
     """
+    if iterations < 2 or replications < 1 or n_draws < 2:
+        raise ConfigError("--iterations and --draws must be >= 2, --replications >= 1")
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
+    lo, hi = _check_levels(levels)
     pi = np.asarray(pi_true, dtype=float)
     n_states = pi.size
     betas = tuple(float(b) for b in betas)
-    lo, hi = float(levels[0]), float(levels[1])
+    if not betas:
+        raise ConfigError("--beta-grid must name at least one beta")
+    specs = [MixtureChainSpec(tuple(pi), beta, iterations) for beta in betas]
     prior = PriorSpec.default()
 
     cells = []
     t_eff: dict = {}
-    for b_idx, beta in enumerate(betas):
+    for b_idx, (beta, spec) in enumerate(zip(betas, specs)):
         sd_markov = np.empty((replications, n_states))
         sd_iid = np.empty((replications, n_states))
         cov_markov = np.empty((replications, n_states), dtype=bool)
@@ -246,9 +265,7 @@ def run_coverage_experiment(
         ess_vals = np.empty(replications)
         for rep in range(replications):
             chain_seed, draw_seed = _derived_seeds(seed, b_idx, rep)
-            chain = generate_chain(
-                MixtureChainSpec(tuple(pi), beta, iterations, chain_seed)
-            )
+            chain = generate_chain(replace(spec, seed=chain_seed))
             counts = count_transitions(chain)
             draws = draw_posterior(counts, prior, n_draws=n_draws, seed=draw_seed)
             summary = summarize(draws, levels=(lo, hi))

@@ -27,9 +27,45 @@ from .benchmark import run_coverage_experiment
 from .chains import count_transitions, merge_counts, read_chain_file
 from .errors import ChainUQError, ConfigError, LabelError
 from .ess import effective_sample_size
-from .sampling import PriorSpec, draw_posterior, point_estimate
+from .sampling import PriorSpec, draw_posterior
 from .stationary import classify_support
-from .summaries import _reject_repeats, bayes_factors, rank_stability, subset_probability, summarize
+from .summaries import (
+    _check_levels, _reject_repeats, bayes_factors, rank_stability, subset_probability, summarize,
+)
+
+# warning code -> message template, filled by `str.format`; the report lists
+# warnings in the order `analyze_chains` raises them
+WARNINGS = {
+    "disconnected_chains": (
+        "the observed transitions split the models into more than one "
+        "closed class; probabilities across the classes rest on the prior alone"
+    ),
+    "k_top_reduced": "top-k reduced from {k_top} to the {n_models} observed models",
+    "unstable_bayes_factor": (
+        "B({numerator!r}/{denominator!r}): {n_zero} of {n_draws} draws had a zero "
+        "denominator; summary uses the remaining draws only"
+    ),
+    "single_model_chain": "only one model was ever sampled; the effective sample size is undefined",
+    "negative_ess": "fitted shape total fell below the prior weight; t_eff reported as 0",
+    "ess_exceeds_iterations": (
+        "t_eff = {t_eff:.6g} exceeds 1.5x the {t_raw} chain iterations; "
+        "reported as estimated, never truncated"
+    ),
+    "dirichlet_fit_not_converged": (
+        "the Dirichlet fit did not converge (draws equal to rounding, or its "
+        "step budget ran out); t_eff is not determined"
+    ),
+    "clamped_draws": "draws contained zero components that were clamped before the fit",
+    "never_sampled_model": "declared model {label!r} was never sampled; reported with probability 0",
+}
+# report key -> attribute of a summary (per model, per Bayes factor, per subset)
+STATS = {"mean": "mean", "sd": "sd", "median": "median", "ci_lower": "lower", "ci_upper": "upper"}
+
+
+def _stats(result, i=None) -> dict:
+    """The report's statistics of ``result``, of component ``i`` when given."""
+    values = [getattr(result, attr) for attr in STATS.values()]
+    return dict(zip(STATS, values if i is None else [v[i] for v in values]))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,23 +98,6 @@ def _parse_epsilon(text: str) -> PriorSpec:
     raise ConfigError(
         f"epsilon must be 'default_reduced', 'fixed:<value>' or 'matrix:<path>', got {text!r}"
     )
-
-
-def _parse_ci(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"--ci expects two comma-separated levels, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"cannot parse --ci levels from {text!r}") from None
-    return _check_levels((lo, hi))
-
-
-def _check_levels(levels) -> tuple:
-    if len(levels) != 2 or not 0.0 < levels[0] < levels[1] < 1.0:
-        raise ConfigError(f"--ci levels must satisfy 0 < lo < hi < 1, got {tuple(levels)}")
-    return tuple(levels)
 
 
 def _parse_subset(text: str, position: int) -> tuple:
@@ -232,100 +251,59 @@ def analyze_chains(
     counts = merge_counts([count_transitions(c) for c in chains])
     draws = draw_posterior(counts, prior, n_draws=n_draws, seed=seed)
     summary = summarize(draws, levels=levels)
-    point = point_estimate(draws, "mean")
     ess_est = effective_sample_size(draws)
+    raised = []
 
-    warnings = []
+    def warn(code, **fields):
+        raised.append({"code": code, "message": WARNINGS[code].format(**fields)})
+
     # models with an observed outgoing move; a model seen only at a chain's
     # end would otherwise form a closed class of its own
     left = counts.counts.sum(axis=1) > 0
     if classify_support(counts.counts[np.ix_(left, left)]).n_closed > 1:
-        warnings.append({
-            "code": "disconnected_chains",
-            "message": (
-                "the observed transitions split the models into more than one "
-                "closed class; probabilities across the classes rest on the prior alone"
-            ),
-        })
+        warn("disconnected_chains")
 
     rank_report = None
     k_used = None
     if k_top is not None:
         k_used = min(int(k_top), counts.n_models)
         if k_used < int(k_top):
-            warnings.append({
-                "code": "k_top_reduced",
-                "message": f"top-k reduced from {k_top} to the {counts.n_models} observed models",
-            })
+            warn("k_top_reduced", k_top=k_top, n_models=counts.n_models)
         rank_report = rank_stability(draws, k_top=k_used)
 
     bf_results = bayes_factors(draws, bf_pairs, levels=levels) if bf_pairs else []
     for bf in bf_results:
         if bf.unstable:
-            warnings.append({
-                "code": "unstable_bayes_factor",
-                "message": (
-                    f"B({bf.numerator!r}/{bf.denominator!r}): {bf.n_zero_denominator} "
-                    f"of {draws.n_draws} draws had a zero denominator; summary uses "
-                    "the remaining draws only"
-                ),
-            })
+            warn("unstable_bayes_factor", numerator=bf.numerator, denominator=bf.denominator,
+                 n_zero=bf.n_zero_denominator, n_draws=draws.n_draws)
     subset_results = [
         (name, subset_probability(draws, members, levels=levels))
         for name, members in subsets
     ]
 
     if ess_est.single_model:
-        warnings.append({
-            "code": "single_model_chain",
-            "message": "only one model was ever sampled; the effective sample size is undefined",
-        })
+        warn("single_model_chain")
     if ess_est.negative:
-        warnings.append({
-            "code": "negative_ess",
-            "message": "fitted shape total fell below the prior weight; t_eff reported as 0",
-        })
+        warn("negative_ess")
     if ess_est.exceeds_raw:
-        warnings.append({
-            "code": "ess_exceeds_iterations",
-            "message": (
-                f"t_eff = {ess_est.t_eff:.6g} exceeds 1.5x the {ess_est.t_raw} chain "
-                "iterations; reported as estimated, never truncated"
-            ),
-        })
+        warn("ess_exceeds_iterations", t_eff=ess_est.t_eff, t_raw=ess_est.t_raw)
     if not ess_est.converged:
-        warnings.append({
-            "code": "dirichlet_fit_not_converged",
-            "message": (
-                "the Dirichlet fit did not converge (draws equal to rounding, or its "
-                "step budget ran out); t_eff is not determined"
-            ),
-        })
+        warn("dirichlet_fit_not_converged")
     if ess_est.approximate:
-        warnings.append({
-            "code": "clamped_draws",
-            "message": "draws contained zero components that were clamped before the fit",
-        })
+        warn("clamped_draws")
 
     label_index = counts.label_to_index
     never_sampled = [lab for lab in declared if lab not in label_index]
     for lab in never_sampled:
-        warnings.append({
-            "code": "never_sampled_model",
-            "message": f"declared model {lab!r} was never sampled; reported with probability 0",
-        })
+        warn("never_sampled_model", label=lab)
 
     model_rows = []
     for lab in counts.labels:
         i = label_index[lab]
         row = {
             "label": str(lab),
-            "mean": summary.mean[i],
-            "sd": summary.sd[i],
-            "median": summary.median[i],
-            "ci_lower": summary.lower[i],
-            "ci_upper": summary.upper[i],
-            "point_estimate": point[i],
+            **_stats(summary, i),
+            "point_estimate": summary.mean[i],  # the posterior mean
             "visits": int(counts.visits[i]),
             "never_sampled": False,
         }
@@ -341,11 +319,7 @@ def analyze_chains(
     for lab in never_sampled:
         model_rows.append({
             "label": str(lab),
-            "mean": 0.0,
-            "sd": 0.0,
-            "median": 0.0,
-            "ci_lower": 0.0,
-            "ci_upper": 0.0,
+            **dict.fromkeys(STATS, 0.0),
             "point_estimate": 0.0,
             "visits": 0,
             "never_sampled": True,
@@ -385,7 +359,7 @@ def analyze_chains(
             "negative": ess_est.negative,
             "single_model": ess_est.single_model,
         },
-        "warnings": warnings,
+        "warnings": raised,
     }
     if rank_report is not None:
         report["rank_stability"] = {
@@ -397,11 +371,7 @@ def analyze_chains(
             {
                 "numerator": str(bf.numerator),
                 "denominator": str(bf.denominator),
-                "mean": bf.mean,
-                "sd": bf.sd,
-                "median": bf.median,
-                "ci_lower": bf.lower,
-                "ci_upper": bf.upper,
+                **_stats(bf),
                 "n_zero_denominator": bf.n_zero_denominator,
                 "unstable": bf.unstable,
             }
@@ -412,11 +382,7 @@ def analyze_chains(
             {
                 "name": name,
                 "labels": [str(lab) for lab in res.labels],
-                "mean": res.mean,
-                "sd": res.sd,
-                "median": res.median,
-                "ci_lower": res.lower,
-                "ci_upper": res.upper,
+                **_stats(res),
             }
             for name, res in subset_results
         ]
@@ -531,7 +497,7 @@ def _run_analyze(args) -> int:
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
     prior = _parse_epsilon(args.epsilon)
-    levels = _parse_ci(args.ci)
+    levels = _parse_floats(args.ci, "--ci")
     subsets = [_parse_subset(s, i + 1) for i, s in enumerate(args.subset)]
     bf_pairs = [_parse_pair(p) for p in args.bf]
     declared = _parse_labels(args.declared)
@@ -564,25 +530,15 @@ def _run_analyze(args) -> int:
 
 
 def _run_bench(args) -> int:
-    pi = _parse_floats(args.pi, "--pi")
-    betas = _parse_floats(args.beta_grid, "--beta-grid")
-    # every comparison with NaN is false, so a NaN entry fails the range test
-    if not pi or any(not 0.0 <= p <= 1.0 for p in pi) or abs(sum(pi) - 1.0) > 1e-9:
-        raise ConfigError(f"--pi must be a probability vector summing to 1, got {args.pi!r}")
-    if not betas or any(not 0.0 <= b <= 1.0 for b in betas):
-        raise ConfigError(f"--beta-grid values must lie in [0, 1], got {args.beta_grid!r}")
-    if args.iterations < 2 or args.replications < 1 or args.draws < 2:
-        raise ConfigError("--iterations and --draws must be >= 2, --replications >= 1")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    # run_coverage_experiment checks every setting before its first replication
     result = run_coverage_experiment(
-        pi,
-        betas,
+        _parse_floats(args.pi, "--pi"),
+        _parse_floats(args.beta_grid, "--beta-grid"),
         iterations=args.iterations,
         replications=args.replications,
         n_draws=args.draws,
         seed=args.seed,
-        levels=_parse_ci(args.ci),
+        levels=_parse_floats(args.ci, "--ci"),
         progress=lambda msg: print(msg, file=sys.stderr),
     )
     csv_path = f"{args.out}.csv"

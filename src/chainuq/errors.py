@@ -6,7 +6,8 @@ chain, an empty merge, an unparsable chain file; the CLI adds ``OSError``),
 ``2`` numerical failure (a degenerate row, a non-stochastic matrix, no unique
 stationary vector, a domain error, unusable samples), ``3`` config error (a
 bad setting, an unknown or repeated label). The base class's ``2``, ``error``
-is the fallback for a class that sets neither.
+is the fallback for a class that sets neither. The two config classes are
+also ``ValueError``s, as a bad argument is.
 """
 
 
@@ -67,11 +68,11 @@ class DegenerateSamplesError(ChainUQError):
     exit_code, kind = 2, "numerical failure"
 
 
-class LabelError(ChainUQError):
+class LabelError(ChainUQError, ValueError):
     """A model label or subset name is unknown, empty or repeated."""
     exit_code, kind = 3, "config error"
 
 
-class ConfigError(ChainUQError):
+class ConfigError(ChainUQError, ValueError):
     """Invalid run configuration."""
     exit_code, kind = 3, "config error"

@@ -97,13 +97,6 @@ class PriorSpec:
             )
         return np.array(self.epsilon_matrix)
 
-    def describe(self) -> str:
-        if self.mode == "default_reduced":
-            return "default_reduced (epsilon = 1/I* on observed models)"
-        if self.mode == "uniform_fixed":
-            return f"uniform_fixed (epsilon = {self.epsilon!r})"
-        return "matrix (explicit per-cell weights)"
-
 
 @dataclass(frozen=True)
 class PosteriorDraws:

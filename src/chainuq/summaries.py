@@ -12,17 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LabelError
+from .errors import ConfigError, LabelError
 from .sampling import PosteriorDraws
 
 DEFAULT_LEVELS = (0.05, 0.95)
 
 
 def _check_levels(levels):
-    lo, hi = float(levels[0]), float(levels[1])
-    if not (0.0 < lo < hi < 1.0):
-        raise ValueError(f"quantile levels must satisfy 0 < lo < hi < 1, got {levels}")
-    return lo, hi
+    """The quantile levels as floats ``(lo, hi)``; ConfigError unless 0 < lo < hi < 1."""
+    if len(levels) != 2 or not 0.0 < float(levels[0]) < float(levels[1]) < 1.0:
+        raise ConfigError(
+            f"quantile levels must be two numbers with 0 < lo < hi < 1 (--ci), got {tuple(levels)}"
+        )
+    return float(levels[0]), float(levels[1])
 
 
 def _sample_stats(samples: np.ndarray, lo: float, hi: float) -> dict:
@@ -231,29 +233,26 @@ class RankReport:
     rank_distribution: np.ndarray
 
 
-def _rank_matrix(values: np.ndarray) -> np.ndarray:
-    """Ranks (1 = largest) per row; ties go to the lower column index."""
-    order = np.argsort(-values, axis=1, kind="stable")
+def _order_and_ranks(values: np.ndarray) -> tuple:
+    """Descending order and ranks (1 = largest) along the last axis; ties go to the lower index."""
+    order = np.argsort(-values, axis=-1, kind="stable")
     ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(1, values.shape[1] + 1), axis=1)
-    return ranks
+    np.put_along_axis(ranks, order, np.arange(1, values.shape[-1] + 1), axis=-1)
+    return order, ranks
 
 
 def rank_stability(draws: PosteriorDraws, k_top: int = 10) -> RankReport:
     """Distribution of model ranks across draws, plus top-k stability."""
     n_models = draws.n_models
     if not 1 <= k_top <= n_models:
-        raise ValueError(f"k_top must be in [1, {n_models}], got {k_top}")
+        raise ConfigError(f"k_top must be in [1, {n_models}], got {k_top}")
     x = draws.draws
-    ranks = _rank_matrix(x)
-    point = x.mean(axis=0)[np.newaxis, :]
-    point_rank = _rank_matrix(point)[0]
-    point_order = np.argsort(-point[0], kind="stable")
+    order, ranks = _order_and_ranks(x)
+    point_order, point_rank = _order_and_ranks(x.mean(axis=0))
 
     dist = np.empty((n_models, n_models))
     for k in range(n_models):
         dist[:, k] = np.mean(ranks == k + 1, axis=0)
-    order = np.argsort(-x, axis=1, kind="stable")
     top_match = np.all(order[:, :k_top] == point_order[:k_top], axis=1)
     return RankReport(
         labels=draws.labels,

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.stats as ss
 
+import chainuq.benchmark
 from chainuq.benchmark import (
     MixtureChainSpec,
     generate_chain,
     run_coverage_experiment,
 )
 from chainuq.chains import index_chain
+from chainuq.errors import ConfigError
 
 PI = (0.85, 0.13, 0.02)
 
@@ -89,6 +91,39 @@ class TestGenerateChain:
             MixtureChainSpec(PI, 1.5, 10)
         with pytest.raises(ValueError):
             MixtureChainSpec(PI, 0.5, 0)
+
+    @pytest.mark.parametrize(
+        "pi, beta",
+        [((float("nan"), 0.5, 0.5), 0.2), (PI, float("nan")), ((1.5, -0.5), 0.2), ((), 0.2)],
+        ids=["nan-pi", "nan-beta", "negative-pi", "empty-pi"],
+    )
+    def test_spec_rejects_with_config_error(self, pi, beta):
+        with pytest.raises(ConfigError):
+            MixtureChainSpec(pi, beta, 10)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"betas": (0.0, 0.5, 1.5)},
+        {"betas": ()},
+        {"pi_true": (float("nan"), 0.5, 0.5)},
+        {"iterations": 1},
+        {"replications": 0},
+        {"n_draws": 1},
+        {"seed": -1},
+        {"levels": (0.9, 0.1)},
+    ],
+    ids=["late-beta", "no-beta", "nan-pi", "iterations", "replications", "draws", "seed", "levels"],
+)
+def test_bad_setting_fails_before_any_chain(monkeypatch, settings):
+    calls = []
+    monkeypatch.setattr(chainuq.benchmark, "generate_chain", lambda spec: calls.append(spec))
+    args = {"pi_true": PI, "betas": (0.0,), "iterations": 50, "replications": 2, "n_draws": 20,
+            **settings}
+    with pytest.raises(ConfigError):
+        run_coverage_experiment(**args)
+    assert calls == []
 
 
 @pytest.fixture(scope="module")

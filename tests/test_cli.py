@@ -12,7 +12,7 @@ import pytest
 
 import chainuq
 from chainuq import _pool, errors
-from chainuq.cli import analyze_chains, main
+from chainuq.cli import WARNINGS, analyze_chains, main
 from chainuq.errors import ConfigError
 
 
@@ -241,6 +241,53 @@ def _warning_codes(capsys, tmp_path, *chains):
         path.write_text(text, encoding="utf-8")
         args += ["--input", str(path)]
     return [w["code"] for w in run_json(capsys, args)["warnings"]]
+
+
+def test_warning_table_lists_codes_in_report_order():
+    assert list(WARNINGS) == [
+        "disconnected_chains",
+        "k_top_reduced",
+        "unstable_bayes_factor",
+        "single_model_chain",
+        "negative_ess",
+        "ess_exceeds_iterations",
+        "dirichlet_fit_not_converged",
+        "clamped_draws",
+        "never_sampled_model",
+    ]
+
+
+def test_warning_messages_fill_their_templates(chain_file, capsys):
+    report = run_json(capsys, ["analyze", "--input", str(chain_file), "--seed", "1",
+                               "--draws", "50", "--top-k", "5", "--declared", "A,Z"])
+    assert report["warnings"] == [
+        {"code": "k_top_reduced", "message": "top-k reduced from 5 to the 2 observed models"},
+        {
+            "code": "ess_exceeds_iterations",
+            "message": "t_eff = 85.0522 exceeds 1.5x the 50 chain iterations; "
+                       "reported as estimated, never truncated",
+        },
+        {
+            "code": "never_sampled_model",
+            "message": "declared model 'Z' was never sampled; reported with probability 0",
+        },
+    ]
+
+
+def test_point_estimate_column_is_the_posterior_mean(chain_file):
+    chain = chainuq.read_chain_file(chain_file)
+    prior = chainuq.PriorSpec.default()
+    report = analyze_chains(chain, prior=prior, n_draws=300, seed=6)
+    draws = chainuq.draw_posterior(chainuq.merge_counts([chainuq.count_transitions(c) for c in chain]),
+                                   prior, n_draws=300, seed=6)
+    point = dict(zip(draws.labels, chainuq.point_estimate(draws, "mean").tolist()))
+    for row in report["models"]:
+        assert row["point_estimate"] == row["mean"] == point[row["label"]]
+
+
+@pytest.mark.parametrize("cls", [errors.ConfigError, errors.LabelError])
+def test_config_errors_are_value_errors(cls):
+    assert issubclass(cls, ValueError) and issubclass(cls, errors.ChainUQError)
 
 
 def test_chains_that_never_meet_warn(tmp_path, capsys):

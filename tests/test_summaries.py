@@ -6,7 +6,7 @@ import scipy.stats as ss
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainuq.errors import LabelError
+from chainuq.errors import ConfigError, LabelError
 from chainuq.summaries import (
     bayes_factors,
     rank_stability,
@@ -181,3 +181,20 @@ def test_mean_vector_stays_on_simplex(seed, dim):
     assert abs(summary.mean.sum() - 1.0) <= 1e-10
     assert np.all(summary.lower <= summary.upper)
     assert np.all(summary.sd >= 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: summarize(d, levels=(0.95, 0.05)),
+        lambda d: summarize(d, levels=(0.05, 0.5, 0.95)),
+        lambda d: bayes_factors(d, [(1, 2)], levels=(0.0, 0.5)),
+        lambda d: subset_probability(d, [1], levels=(0.5, 1.0)),
+        lambda d: rank_stability(d, k_top=3),
+        lambda d: rank_stability(d, k_top=0),
+    ],
+    ids=["levels-order", "levels-count", "bf-levels", "subset-levels", "k_top-high", "k_top-zero"],
+)
+def test_bad_settings_raise_config_error(make_draws, call):
+    with pytest.raises(ConfigError):
+        call(make_draws(np.tile([0.5, 0.5], (5, 1))))
