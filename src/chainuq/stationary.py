@@ -96,30 +96,37 @@ def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The elimination runs on an (I, I, B) copy, one rank-1 update over the
     stack per pivot. Step k = I-1, ..., 1 censors state k out of the chain on
-    0..k, dividing by its outflow to lower states, summed rather than formed
-    as 1 - p[k, k]; with no subtraction every component keeps its relative
-    accuracy. A zero outflow means k reaches no lower state; given a unique
-    stationary distribution, the largest such k is then the smallest member
-    of the closed class and all states below it are transient, so that step
-    divides by one and back substitution starts at k with x[k] = 1 and exact
-    zeros below. Returns ``(pi, ok)``: ``pi[i]`` is valid where ``ok[i]``,
-    i.e. where its residual ``|pi P - pi|`` is within 1e-8 (NaN fails).
+    0..k: it divides row k by the state's outflow s_k to lower states, summed
+    rather than formed as 1 - p[k, k], so every entry of the row stays <= 1
+    even when s_k is subnormal. With no subtraction every component keeps
+    its relative accuracy. A zero outflow means k reaches no lower state;
+    given a unique stationary distribution, the largest such k is then the
+    smallest member of the closed class and all states below it are
+    transient, so that step divides by one and back substitution starts at
+    k with x[k] = 1 and exact zeros below. Back substitution sets x[k] to
+    x[:k] . a[:k, k] / s_k, scaling x[:k] down instead wherever that would
+    exceed 1, so no x overflows. Returns ``(pi, ok)``: ``pi[i]`` is valid
+    where ``ok[i]``, i.e. where its residual ``|pi P - pi|`` is within 1e-8
+    (NaN fails).
     """
     b, n, _ = p.shape
     a = np.moveaxis(p, 0, -1).copy()
-    zero = np.zeros((n, b), dtype=bool)
+    outflow = np.zeros((n, b))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, 0, -1):
-            s = a[k, :k].sum(axis=0)
-            np.equal(s, 0.0, out=zero[k])
-            a[:k, k] /= s + zero[k]  # a zero outflow divides by one
+            s = outflow[k] = a[k, :k].sum(axis=0)
+            a[k, :k] /= s + (s == 0)  # a zero outflow divides by one
             a[:k, :k] += a[:k, k, None] * a[None, k, :k]
         ks = np.arange(n)[:, None]
-        start = (ks * zero).max(axis=0)
+        start = (ks * (outflow == 0)).max(axis=0)
         x = (ks == start).astype(float)
+        # up to start, x[:k] is zero, and dividing by one keeps x[k] as it is
+        outflow[ks <= start] = 1.0
         for k in range(1, n):
-            x[k] = np.where(start < k, (x[:k] * a[:k, k]).sum(axis=0), x[k])
-        x /= x.max(axis=0)  # so that the total cannot overflow
+            dot = (x[:k] * a[:k, k]).sum(axis=0) + x[k]
+            t = np.maximum(dot, outflow[k])
+            x[:k] *= outflow[k] / t
+            x[k] = dot / t
         pi = (x / x.sum(axis=0)).T
         residual = np.abs((pi[:, None, :] @ p)[:, 0, :] - pi).max(axis=1)
     return pi, residual <= RESIDUAL_TOL

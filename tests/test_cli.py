@@ -215,6 +215,15 @@ def test_unknown_bf_label_exits_3(chain_file, capsys):
     assert main(["analyze", "--input", str(chain_file), "--bf", "A,Z"]) == 3
 
 
+def test_subnormal_outflow_draws_do_not_fail(tmp_path, capsys):
+    # model Z's sampled outflow falls to about 1e-315 in some draws
+    path = tmp_path / "chain.txt"
+    path.write_text("A\nB\nA\nA\nB\nZ\n", encoding="utf-8")
+    report = run_json(capsys, ["analyze", "--input", str(path), "--epsilon", "fixed:0.001",
+                               "--seed", "1", "--draws", "200"])
+    assert abs(sum(row["mean"] for row in report["models"]) - 1.0) < 1e-12
+
+
 def test_degenerate_row_exits_2(tmp_path, capsys):
     path = tmp_path / "chain.txt"
     path.write_text("A\nA\nB\n", encoding="utf-8")

@@ -284,6 +284,16 @@ def test_transient_model_gets_zero_mass_in_every_draw():
     assert np.array_equal(draws.draws, np.tile([0.0, 1.0], (300, 1)))
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_tiny_prior_with_subnormal_outflows_resolves_every_draw(seed):
+    # with epsilon 0.001, the sampled outflow of model Z often falls to about
+    # 1e-315, where dividing by it overflows
+    counts = count_transitions(index_chain(list("ABAABZ")))
+    draws = draw_posterior(counts, PriorSpec.fixed(0.001), n_draws=1000, seed=seed)
+    assert np.isfinite(draws.draws).all()
+    assert np.abs(draws.draws.sum(axis=1) - 1.0).max() <= 1e-12
+
+
 @settings(max_examples=10)
 @given(
     st.integers(2, 3),

@@ -195,6 +195,42 @@ def test_tiny_components_keep_relative_accuracy(p):
         assert abs((mpmath.mpf(float(got)) - want) / want) <= 1e-14
 
 
+def _reference(p):
+    """Stationary vector, in 60-digit arithmetic, of the chain with p's off-diagonal entries."""
+    n = len(p)
+    with mpmath.workdps(60):
+        a = mpmath.matrix(n, n)
+        for i in range(n):
+            off = [mpmath.mpf(float(p[i][j])) if j != i else 0 for j in range(n)]
+            for j in range(n):
+                # column i of (P - I)^T: outflows off the diagonal, minus their sum on it
+                a[j, i] = off[j] if j != i else -mpmath.fsum(off)
+        for j in range(n):
+            a[n - 1, j] = 1  # replace one balance equation by the normalisation
+        return list(mpmath.lu_solve(a, mpmath.matrix([0] * (n - 1) + [1])))
+
+
+# chains whose last state leaves for the states below it at a subnormal rate
+SUBNORMAL_OUTFLOW = {
+    "three_states": [[0.5, 0.5, 0.0], [0.3, 0.3, 0.4], [1e-315, 0.0, 1.0]],
+    "four_states": [
+        [0.2, 0.3, 0.5, 0.0],
+        [0.1, 0.6, 0.1, 0.2],
+        [0.3, 0.3, 0.2, 0.2],
+        [2e-320, 1e-318, 5e-316, 1.0],
+    ],
+}
+
+
+@pytest.mark.parametrize("p", SUBNORMAL_OUTFLOW.values(), ids=SUBNORMAL_OUTFLOW.keys())
+def test_subnormal_outflow_keeps_subnormal_precision(p):
+    pi = stationary(p)
+    assert 0.0 < pi[:-1].max() < 1e-307
+    for got, want in zip(pi, _reference(p)):
+        # one subnormal spacing, 2**-1074, is all the precision that range holds
+        assert abs(mpmath.mpf(float(got)) - want) <= 1e-14 * want + mpmath.mpf(2) ** -1074
+
+
 def _with_transient_state(p):
     """Append a state that moves to the first two evenly and is never entered."""
     out = np.zeros((3, 3))
