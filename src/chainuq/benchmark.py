@@ -23,7 +23,7 @@ import numpy as np
 
 from .chains import LabeledChain, count_transitions, index_chain
 from .errors import ConfigError
-from .ess import effective_sample_size, iid_posterior
+from .ess import _betaincinv, effective_sample_size, iid_posterior
 from .sampling import PriorSpec, draw_posterior
 from .summaries import DEFAULT_LEVELS, _check_levels, summarize
 
@@ -239,8 +239,9 @@ def run_coverage_experiment(
     Raises
     ------
     ConfigError
-        Before the first replication, for any setting out of range;
-        `MixtureChainSpec` checks ``pi_true`` and each beta.
+        Before the first replication, for any setting out of range
+        (`MixtureChainSpec` checks ``pi_true`` and each beta) or when scipy,
+        which the i.i.d. baseline needs, is not installed.
     """
     if iterations < 2 or replications < 1 or n_draws < 2:
         raise ConfigError("--iterations and --draws must be >= 2, --replications >= 1")
@@ -253,6 +254,7 @@ def run_coverage_experiment(
     if not betas:
         raise ConfigError("--beta-grid must name at least one beta")
     specs = [MixtureChainSpec(tuple(pi), beta, iterations) for beta in betas]
+    _betaincinv()  # without scipy, fail here rather than after the first fit
     prior = PriorSpec.default()
 
     cells = []

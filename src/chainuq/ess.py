@@ -15,10 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import DirichletFit, fit_dirichlet
-from .errors import EmptyChainError
+from .errors import ConfigError, EmptyChainError
 from .sampling import PosteriorDraws
 
 EXCESS_RATIO = 1.5  # warn when t_eff exceeds this multiple of the iteration count
+
+
+def _betaincinv():
+    """scipy's inverse incomplete Beta; only the i.i.d. baseline needs scipy."""
+    try:
+        from scipy.special import betaincinv
+    except ImportError:
+        raise ConfigError(
+            "the i.i.d. baseline of chainuq bench needs scipy: pip install 'chainuq[bench]'"
+        ) from None
+    return betaincinv
 
 
 @dataclass(frozen=True)
@@ -51,8 +62,7 @@ class IidPosterior:
 
     def quantile(self, q: float) -> np.ndarray:
         """Marginal Beta quantiles, componentwise."""
-        from scipy.special import betaincinv  # only ``chainuq bench`` needs scipy
-
+        betaincinv = _betaincinv()
         n = self.concentrations
         total = self.total
         out = np.empty(n.shape)

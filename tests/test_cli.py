@@ -266,6 +266,12 @@ def test_warning_table_lists_codes_in_report_order():
     ]
 
 
+def test_readme_lists_every_warning_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Warnings", 1)[1].split("\n## ", 1)[0]
+    assert [code for code in WARNINGS if f"- `{code}`:" not in section] == []
+
+
 def test_warning_messages_fill_their_templates(chain_file, capsys):
     report = run_json(capsys, ["analyze", "--input", str(chain_file), "--seed", "1",
                                "--draws", "50", "--top-k", "5", "--declared", "A,Z"])
@@ -485,6 +491,25 @@ def test_every_error_class_has_its_exit_code(monkeypatch, capsys, cls):
 def test_exit_code_table_covers_every_error_class():
     in_module = {cls for _, cls in inspect.getmembers(errors, inspect.isclass)}
     assert in_module | set(errors.ChainUQError.__subclasses__()) <= set(EXIT_CODES)
+
+
+def test_analyze_runs_and_bench_exits_3_without_scipy(chain_file, tmp_path):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    env = dict(os.environ, PYTHONPATH=str(Path(chainuq.__file__).parents[1]))
+    run = "import sys; sys.modules['scipy'] = None; from chainuq.cli import main; sys.exit(main())"
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-c", run, *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+
+    analyze = cli("analyze", "--input", str(chain_file), "--seed", "1", "--draws", "100")
+    assert analyze.returncode == 0, analyze.stderr
+    assert "effective sample size" in analyze.stdout
+    bench = cli("bench", "--replications", "1", "--out", str(tmp_path / "cov"))
+    assert bench.returncode == 3
+    assert bench.stderr.startswith("chainuq: config error: ") and "chainuq[bench]" in bench.stderr
+    assert "beta=" not in bench.stderr
+    assert not (tmp_path / "cov.csv").exists() and not (tmp_path / "cov.json").exists()
 
 
 def test_cli_import_does_not_load_scipy_stats():
