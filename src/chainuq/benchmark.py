@@ -99,6 +99,10 @@ def _derived_seeds(seed: int, beta_index: int, replication: int) -> tuple[int, i
     )
 
 
+# the two uncertainty methods, in the order their cells are reported
+METHODS = ("markov", "iid")
+
+
 @dataclass(frozen=True)
 class MethodSummary:
     """Aggregates for one (beta, method) cell of the coverage study."""
@@ -198,14 +202,6 @@ class CoverageResult:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _embed(values: np.ndarray, labels: tuple, n_states: int, fill: float = 0.0) -> np.ndarray:
-    """Map label-aligned values onto the full 1..n_states component grid."""
-    out = np.full(n_states, fill)
-    for pos, lab in enumerate(labels):
-        out[lab - 1] = values[pos]
-    return out
-
-
 def run_coverage_experiment(
     pi_true,
     betas,
@@ -260,57 +256,43 @@ def run_coverage_experiment(
     cells = []
     t_eff: dict = {}
     for b_idx, (beta, spec) in enumerate(zip(betas, specs)):
-        sd_markov = np.empty((replications, n_states))
-        sd_iid = np.empty((replications, n_states))
-        cov_markov = np.empty((replications, n_states), dtype=bool)
-        cov_iid = np.empty((replications, n_states), dtype=bool)
+        sd = {m: np.empty((replications, n_states)) for m in METHODS}
+        covered = {m: np.empty((replications, n_states), dtype=bool) for m in METHODS}
         ess_vals = np.empty(replications)
         for rep in range(replications):
             chain_seed, draw_seed = _derived_seeds(seed, b_idx, rep)
             chain = generate_chain(replace(spec, seed=chain_seed))
             counts = count_transitions(chain)
             draws = draw_posterior(counts, prior, n_draws=n_draws, seed=draw_seed)
-            summary = summarize(draws, levels=(lo, hi))
-            m_sd = _embed(summary.sd, counts.labels, n_states)
-            m_lo = _embed(summary.lower, counts.labels, n_states)
-            m_hi = _embed(summary.upper, counts.labels, n_states)
-            sd_markov[rep] = m_sd
-            cov_markov[rep] = (m_lo <= pi) & (pi <= m_hi)
             ess_vals[rep] = effective_sample_size(draws).t_eff
-
-            visits = _embed(counts.visits.astype(float), counts.labels, n_states)
-            ipost = iid_posterior(visits)
-            sd_iid[rep] = ipost.sd()
-            i_lo = ipost.quantile(lo)
-            i_hi = ipost.quantile(hi)
-            cov_iid[rep] = (i_lo <= pi) & (pi <= i_hi)
+            # labels are the 1-based state numbers; unvisited states stay 0
+            states = np.asarray(counts.labels) - 1
+            summary = summarize(draws, levels=(lo, hi))
+            markov = np.zeros((3, n_states))
+            markov[:, states] = summary.sd, summary.lower, summary.upper
+            ipost = iid_posterior(np.bincount(states, counts.visits, minlength=n_states))
+            fits = {"markov": markov, "iid": (ipost.sd(), ipost.quantile(lo), ipost.quantile(hi))}
+            for m in METHODS:
+                m_sd, m_lo, m_hi = fits[m]
+                sd[m][rep] = m_sd
+                covered[m][rep] = (m_lo <= pi) & (pi <= m_hi)
         t_eff[beta] = ess_vals
-        cells.append(
+        beta_cells = [
             MethodSummary(
                 beta=beta,
-                method="markov",
-                mean_sd=sd_markov.mean(axis=0),
-                coverage=cov_markov.mean(axis=0),
-                joint_coverage=float(cov_markov.all(axis=1).mean()),
+                method=m,
+                mean_sd=sd[m].mean(axis=0),
+                coverage=covered[m].mean(axis=0),
+                joint_coverage=float(covered[m].all(axis=1).mean()),
                 replications=replications,
             )
-        )
-        cells.append(
-            MethodSummary(
-                beta=beta,
-                method="iid",
-                mean_sd=sd_iid.mean(axis=0),
-                coverage=cov_iid.mean(axis=0),
-                joint_coverage=float(cov_iid.all(axis=1).mean()),
-                replications=replications,
-            )
-        )
+            for m in METHODS
+        ]
+        cells += beta_cells
         if progress is not None:
-            progress(
-                f"beta={beta:g}: markov coverage "
-                f"{np.round(cov_markov.mean(axis=0), 3).tolist()}, "
-                f"iid coverage {np.round(cov_iid.mean(axis=0), 3).tolist()}"
-            )
+            progress(f"beta={beta:g}: " + ", ".join(
+                f"{c.method} coverage {np.round(c.coverage, 3).tolist()}" for c in beta_cells
+            ))
     return CoverageResult(
         pi_true=tuple(float(v) for v in pi),
         betas=betas,

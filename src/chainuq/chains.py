@@ -56,10 +56,6 @@ class LabeledChain:
     def n_models(self) -> int:
         return len(self.labels)
 
-    @cached_property
-    def label_to_index(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
     def visit_counts(self) -> np.ndarray:
         """Occupancy count of each observed model over all iterations."""
         return np.bincount(self.indices, minlength=self.n_models)

@@ -42,7 +42,6 @@ class IidPosterior:
     """
 
     concentrations: np.ndarray
-    labels: tuple | None = None
 
     @property
     def total(self) -> float:
@@ -74,7 +73,7 @@ class IidPosterior:
         return out
 
 
-def iid_posterior(visit_counts, labels: tuple | None = None) -> IidPosterior:
+def iid_posterior(visit_counts) -> IidPosterior:
     """Posterior for the occupancy probabilities if samples were independent.
 
     Raises
@@ -87,7 +86,7 @@ def iid_posterior(visit_counts, labels: tuple | None = None) -> IidPosterior:
         raise EmptyChainError("visit counts must be a nonnegative vector")
     if n.sum() <= 0:
         raise EmptyChainError("all visit counts are zero")
-    return IidPosterior(concentrations=n, labels=labels)
+    return IidPosterior(concentrations=n)
 
 
 @dataclass(frozen=True)

@@ -274,11 +274,10 @@ def draw_posterior(
     prior_mass = float(prior.resolve(counts.n_models).sum())
     n = counts.n_models
     shapes = _posterior_shapes(counts, prior)
-    if not (shapes > 0).all():
-        try:
-            _require_unique(shapes)
-        except NoUniqueStationaryError as exc:
-            raise NoUniqueStationaryError(f"draw 0: {exc}") from exc
+    try:
+        _require_unique(shapes)
+    except NoUniqueStationaryError as exc:
+        raise NoUniqueStationaryError(f"draw 0: {exc}") from exc
     plan = _GammaPlan(shapes)
     block = _block_draws(n)
     n_blocks = -(-n_draws // block)

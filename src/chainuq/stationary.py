@@ -75,14 +75,18 @@ def _validated(matrix) -> np.ndarray:
     return p
 
 
-def _require_unique(support) -> None:
+def _require_unique(support: np.ndarray) -> None:
     """Raise unless the support graph of ``support`` has one closed class.
+
+    A strictly positive matrix is irreducible and passes unclassified.
 
     Raises
     ------
     NoUniqueStationaryError
         If more than one communicating class is closed.
     """
+    if (support > 0).all():
+        return
     n_closed = classify_support(support).n_closed
     if n_closed != 1:
         raise NoUniqueStationaryError(
@@ -155,9 +159,7 @@ def stationary(matrix) -> np.ndarray:
         or the solve is rejected.
     """
     p = _validated(matrix)
-    # strictly positive matrices are irreducible; only check sparser supports
-    if not (p > 0).all():
-        _require_unique(p)
+    _require_unique(p)
     pi, ok = _solve_stack(p[None])
     if not ok[0]:
         raise NoUniqueStationaryError(REJECTED)

@@ -5,11 +5,15 @@ import scipy.stats as ss
 import chainuq.benchmark
 from chainuq.benchmark import (
     MixtureChainSpec,
+    _derived_seeds,
     generate_chain,
     run_coverage_experiment,
 )
-from chainuq.chains import index_chain
+from chainuq.chains import count_transitions, index_chain
 from chainuq.errors import ConfigError
+from chainuq.ess import effective_sample_size, iid_posterior
+from chainuq.sampling import PriorSpec, draw_posterior
+from chainuq.summaries import DEFAULT_LEVELS, summarize
 
 PI = (0.85, 0.13, 0.02)
 
@@ -171,3 +175,47 @@ class TestCoverageExperiment:
         lines = small_run.to_csv().strip().splitlines()
         assert lines[0].startswith("beta,method,component")
         assert len(lines) == 1 + 4 * 3  # header + cells x components
+
+
+def test_cells_match_a_plain_replication_loop():
+    """Each cell's aggregates, recomputed state by state from the library calls."""
+    betas, iterations, replications, n_draws, seed = (0.0, 0.8), 30, 8, 200, 5
+    result = run_coverage_experiment(
+        PI, betas, iterations=iterations, replications=replications, n_draws=n_draws, seed=seed
+    )
+    lo, hi = DEFAULT_LEVELS
+    missed_a_state = False
+    for b_idx, beta in enumerate(betas):
+        rows = {"markov": ([], []), "iid": ([], [])}  # per-replication SDs and cover flags
+        t_eff = []
+        for rep in range(replications):
+            chain_seed, draw_seed = _derived_seeds(seed, b_idx, rep)
+            counts = count_transitions(
+                generate_chain(MixtureChainSpec(PI, beta, iterations, seed=chain_seed))
+            )
+            draws = draw_posterior(counts, PriorSpec.default(), n_draws=n_draws, seed=draw_seed)
+            summary = summarize(draws, levels=(lo, hi))
+            t_eff.append(effective_sample_size(draws).t_eff)
+            markov, visits = [], []
+            for state in range(1, len(PI) + 1):
+                if state in counts.labels:
+                    pos = counts.labels.index(state)
+                    markov.append((summary.sd[pos], summary.lower[pos], summary.upper[pos]))
+                    visits.append(counts.visits[pos])
+                else:
+                    markov.append((0.0, 0.0, 0.0))
+                    visits.append(0)
+                    missed_a_state = True
+            ipost = iid_posterior(visits)
+            iid = list(zip(ipost.sd(), ipost.quantile(lo), ipost.quantile(hi)))
+            for method, fit in (("markov", markov), ("iid", iid)):
+                sds, flags = rows[method]
+                sds.append([sd for sd, _, _ in fit])
+                flags.append([low <= p <= high for (_, low, high), p in zip(fit, PI)])
+        assert np.array_equal(result.t_eff[beta], t_eff, equal_nan=True)  # NaN: one model seen
+        for method, (sds, flags) in rows.items():
+            cell = result.cell(beta, method)
+            assert np.array_equal(cell.mean_sd, np.mean(sds, axis=0))
+            assert np.array_equal(cell.coverage, np.mean(flags, axis=0))
+            assert cell.joint_coverage == np.mean([all(f) for f in flags])
+    assert missed_a_state  # some short chain never visits the rare state

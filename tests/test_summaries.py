@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import scipy.stats as ss
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chainuq.chains import count_transitions, index_chain
 from chainuq.errors import ConfigError, LabelError
+from chainuq.sampling import PriorSpec, draw_posterior
 from chainuq.summaries import (
     bayes_factors,
     rank_stability,
@@ -72,6 +75,16 @@ class TestBayesFactors:
         ratios = raw[:, 0] / raw[:, 1]
         manual_sd = math.sqrt(((ratios - ratios.mean()) ** 2).sum() / (ratios.size - 1))
         assert abs(bf.sd - manual_sd) / manual_sd <= 0.02
+
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    def test_sd_of_ratios_near_float_max(self, seed):
+        # a denominator drawn near zero gives ratios above 1e200, whose
+        # squared deviations overflow; statistics.stdev works in exact fractions
+        counts = count_transitions(index_chain(["B"] + ["A"] * 20))
+        draws = draw_posterior(counts, PriorSpec.fixed(0.005), n_draws=200, seed=seed)
+        (bf,) = bayes_factors(draws, [("A", "B")])
+        assert bf.samples.max() > 1e200
+        assert bf.sd == pytest.approx(statistics.stdev(bf.samples.tolist()), rel=1e-12)
 
     def test_zero_denominators_flagged_and_excluded(self, make_draws):
         draws = make_draws([[1.0, 0.0], [0.5, 0.5], [0.75, 0.25]])
