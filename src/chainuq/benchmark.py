@@ -271,9 +271,8 @@ def run_coverage_experiment(
             markov = np.zeros((3, n_states))
             markov[:, states] = summary.sd, summary.lower, summary.upper
             ipost = iid_posterior(np.bincount(states, counts.visits, minlength=n_states))
-            fits = {"markov": markov, "iid": (ipost.sd(), ipost.quantile(lo), ipost.quantile(hi))}
-            for m in METHODS:
-                m_sd, m_lo, m_hi = fits[m]
+            iid = (ipost.sd(), ipost.quantile(lo), ipost.quantile(hi))
+            for m, (m_sd, m_lo, m_hi) in zip(METHODS, (markov, iid)):
                 sd[m][rep] = m_sd
                 covered[m][rep] = (m_lo <= pi) & (pi <= m_hi)
         t_eff[beta] = ess_vals

@@ -16,7 +16,6 @@ from .errors import ConfigError, LabelError
 from .sampling import PosteriorDraws
 
 DEFAULT_LEVELS = (0.05, 0.95)
-_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _check_levels(levels):
@@ -33,15 +32,9 @@ def _sample_stats(samples: np.ndarray, lo: float, hi: float) -> dict:
     if not samples.size:
         return dict.fromkeys(("mean", "sd", "median", "lower", "upper"), float("nan"))
     qs = np.quantile(samples, [lo, 0.5, hi], method="linear")
-    top = np.abs(samples).max()
-    if samples.size < 2:
-        sd = float("nan")
-    elif top > np.sqrt(_FLOAT_MAX / samples.size) / 2:
-        # the squared deviations could overflow: scale by an exact power of two
-        e = int(np.frexp(top)[1])
-        sd = float(np.ldexp(np.ldexp(samples, -e).std(ddof=1), e))
-    else:
-        sd = float(samples.std(ddof=1))
+    # scaled by an exact power of two so the squared deviations cannot overflow
+    e = int(np.frexp(np.abs(samples).max())[1])
+    sd = float(np.ldexp(np.ldexp(samples, -e).std(ddof=1), e)) if samples.size > 1 else float("nan")
     return {"mean": float(samples.mean()), "sd": sd, "median": float(qs[1]),
             "lower": float(qs[0]), "upper": float(qs[2])}
 
