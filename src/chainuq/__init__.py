@@ -44,7 +44,6 @@ from .sampling import (
     PosteriorDraws,
     PriorSpec,
     draw_posterior,
-    point_estimate,
     sample_dirichlet,
     sample_transition_matrix,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "index_chain",
     "inverse_digamma",
     "merge_counts",
-    "point_estimate",
     "rank_stability",
     "read_chain_file",
     "run_coverage_experiment",

@@ -141,9 +141,12 @@ class CoverageResult:
         raise KeyError((beta, method))
 
     def median_t_eff(self, beta: float) -> float:
-        return float(np.nanmedian(self.t_eff[beta]))
+        """Median over the replications that define t_eff; NaN if none does."""
+        t_eff = self.t_eff[beta]
+        return float("nan") if np.isnan(t_eff).all() else float(np.nanmedian(t_eff))
 
     def to_dict(self) -> dict:
+        medians = {b: self.median_t_eff(b) for b in self.betas}
         return {
             "pi_true": list(self.pi_true),
             "betas": list(self.betas),
@@ -163,7 +166,8 @@ class CoverageResult:
                 }
                 for c in self.cells
             ],
-            "t_eff_median": {str(b): self.median_t_eff(b) for b in self.betas},
+            # JSON has no NaN: an undefined median is null
+            "t_eff_median": {str(b): None if np.isnan(m) else m for b, m in medians.items()},
         }
 
     def to_csv(self) -> str:

@@ -10,7 +10,6 @@ tiny prior weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -135,10 +134,6 @@ class PosteriorDraws:
     @property
     def labels(self) -> tuple:
         return self.source.labels
-
-    @cached_property
-    def label_to_index(self) -> dict:
-        return self.source.label_to_index
 
 
 class _GammaPlan:
@@ -301,16 +296,3 @@ def draw_posterior(
         draws=out, seed=int(seed), prior=prior, source=counts, prior_mass=prior_mass
     )
 
-
-def point_estimate(draws: PosteriorDraws, statistic: str = "mean") -> np.ndarray:
-    """Componentwise point estimate over the posterior draws.
-
-    The mean preserves the simplex constraint; the componentwise median does
-    not and is therefore renormalized to sum to one.
-    """
-    if statistic == "mean":
-        return draws.draws.mean(axis=0)
-    if statistic == "median":
-        med = np.median(draws.draws, axis=0)
-        return med / med.sum()
-    raise ConfigError(f"unknown point statistic {statistic!r}")

@@ -28,15 +28,25 @@ def _check_levels(levels):
 
 
 def _sample_stats(samples: np.ndarray, lo: float, hi: float) -> dict:
-    """Mean, SD (divisor n - 1), median and bounds of a 1-D sample; NaN where undefined."""
-    if not samples.size:
-        return dict.fromkeys(("mean", "sd", "median", "lower", "upper"), float("nan"))
-    qs = np.quantile(samples, [lo, 0.5, hi], method="linear")
-    # scaled by an exact power of two so the squared deviations cannot overflow
-    e = int(np.frexp(np.abs(samples).max())[1])
-    sd = float(np.ldexp(np.ldexp(samples, -e).std(ddof=1), e)) if samples.size > 1 else float("nan")
-    return {"mean": float(samples.mean()), "sd": sd, "median": float(qs[1]),
-            "lower": float(qs[0]), "upper": float(qs[2])}
+    """Mean, SD (divisor n - 1), median and bounds along axis 0; NaN where undefined.
+
+    An ``(R,)`` sample gives floats, an ``(R, I)`` one arrays of length I.
+    Each column is scaled by an exact power of two (the exponent of its max
+    |x|) before the mean and SD, so neither the sum nor the squares can
+    overflow, and a column of values near 1e-170 keeps its SD. The scaling
+    is exact: away from overflow and subnormals the results equal the
+    unscaled ones bit for bit.
+    """
+    stats = dict.fromkeys(("mean", "sd", "median", "lower", "upper"),
+                          np.full(samples.shape[1:], np.nan))
+    if len(samples):
+        e = np.frexp(np.abs(samples).max(axis=0))[1]
+        scaled = np.ldexp(samples, -e)
+        qs = np.quantile(samples, [lo, 0.5, hi], axis=0, method="linear")
+        stats.update(mean=np.ldexp(scaled.mean(axis=0), e), median=qs[1], lower=qs[0], upper=qs[2])
+        if len(samples) > 1:
+            stats["sd"] = np.ldexp(scaled.std(axis=0, ddof=1), e)
+    return stats if samples.ndim > 1 else {k: float(v) for k, v in stats.items()}
 
 
 @dataclass(frozen=True)
@@ -62,21 +72,12 @@ def summarize(draws: PosteriorDraws, levels=DEFAULT_LEVELS) -> UncertaintySummar
     summary is flagged.
     """
     lo, hi = _check_levels(levels)
-    x = draws.draws
-    n = draws.n_draws
-    insufficient = n < 2
-    sd = np.full(x.shape[1], np.nan) if insufficient else x.std(axis=0, ddof=1)
-    qs = np.quantile(x, [lo, 0.5, hi], axis=0, method="linear")
     return UncertaintySummary(
         labels=draws.labels,
-        mean=x.mean(axis=0),
-        sd=sd,
-        median=qs[1],
-        lower=qs[0],
-        upper=qs[2],
         levels=(lo, hi),
-        n_draws=n,
-        insufficient_draws=insufficient,
+        n_draws=draws.n_draws,
+        insufficient_draws=draws.n_draws < 2,
+        **_sample_stats(draws.draws, lo, hi),
     )
 
 
@@ -84,11 +85,11 @@ def summarize(draws: PosteriorDraws, levels=DEFAULT_LEVELS) -> UncertaintySummar
 class BayesFactorSummary:
     """Posterior summary of one evidence ratio between two models.
 
-    ``samples`` holds the per-draw ratios for the draws with a nonzero
-    denominator; ``n_zero_denominator`` counts the excluded draws and marks
-    the pair unstable. Ratios of infrequently sampled models are unreliable
-    either way; a dedicated two-model rerun of the sampler is the robust
-    remedy.
+    ``samples`` holds the finite per-draw ratios; ``n_zero_denominator``
+    counts the excluded draws, whose denominator is zero or so small that the
+    ratio overflows, and marks the pair unstable. Ratios of infrequently
+    sampled models are unreliable either way; a dedicated two-model rerun of
+    the sampler is the robust remedy.
     """
 
     numerator: object
@@ -121,24 +122,19 @@ def bayes_factors(
     multiplied by the prior odds of the denominator over the numerator.
     """
     lo, hi = _check_levels(levels)
-    index = draws.label_to_index
+    index = draws.source.label_to_index
     results = []
-    for pair in pairs:
-        lab_i, lab_j = pair
+    for lab_i, lab_j in pairs:
         for lab in (lab_i, lab_j):
             if lab not in index:
                 raise LabelError(f"unknown model label {lab!r}")
         factor = 1.0
         if prior_model_probs is not None:
-            try:
-                factor = float(prior_model_probs[lab_j]) / float(prior_model_probs[lab_i])
-            except KeyError as exc:
-                raise LabelError(f"no prior model probability for {exc.args[0]!r}") from None
-        num = draws.draws[:, index[lab_i]]
-        den = draws.draws[:, index[lab_j]]
-        ok = den > 0
-        n_zero = int(np.sum(~ok))
-        ratios = factor * num[ok] / den[ok]
+            factor = _prior_prob(prior_model_probs, lab_j) / _prior_prob(prior_model_probs, lab_i)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratios = factor * draws.draws[:, index[lab_i]] / draws.draws[:, index[lab_j]]
+        finite = np.isfinite(ratios)
+        ratios = ratios[finite]
         results.append(
             BayesFactorSummary(
                 numerator=lab_i,
@@ -146,11 +142,22 @@ def bayes_factors(
                 samples=ratios,
                 levels=(lo, hi),
                 odds_factor=factor,
-                n_zero_denominator=n_zero,
+                n_zero_denominator=int(finite.size - ratios.size),
                 **_sample_stats(ratios, lo, hi),
             )
         )
     return results
+
+
+def _prior_prob(prior_model_probs: dict, lab) -> float:
+    """Prior probability of ``lab``: LabelError if absent, ConfigError unless positive and finite."""
+    try:
+        prob = float(prior_model_probs[lab])
+    except KeyError:
+        raise LabelError(f"no prior model probability for {lab!r}") from None
+    if not 0.0 < prob < np.inf:
+        raise ConfigError(f"prior probability of {lab!r} must be finite and > 0, got {prob}")
+    return prob
 
 
 @dataclass(frozen=True)
@@ -190,7 +197,7 @@ def subset_probability(draws: PosteriorDraws, subset, levels=DEFAULT_LEVELS) -> 
     if not subset:
         raise LabelError("subset must name at least one model")
     _reject_repeats(subset, "subset")
-    index = draws.label_to_index
+    index = draws.source.label_to_index
     cols = []
     for lab in subset:
         if lab not in index:
@@ -252,9 +259,9 @@ def rank_stability(draws: PosteriorDraws, k_top: int = 10) -> RankReport:
     order, ranks = _order_and_ranks(x)
     point_order, point_rank = _order_and_ranks(x.mean(axis=0))
 
-    dist = np.empty((n_models, n_models))
-    for k in range(n_models):
-        dist[:, k] = np.mean(ranks == k + 1, axis=0)
+    # cell (i, k) counts the draws that give model i rank k + 1
+    cells = np.arange(n_models) * n_models + ranks - 1
+    dist = np.bincount(cells.ravel(), minlength=n_models**2).reshape(n_models, n_models) / len(x)
     top_match = np.all(order[:, :k_top] == point_order[:k_top], axis=1)
     return RankReport(
         labels=draws.labels,

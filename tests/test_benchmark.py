@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.stats as ss
@@ -219,3 +221,15 @@ def test_cells_match_a_plain_replication_loop():
             assert np.array_equal(cell.coverage, np.mean(flags, axis=0))
             assert cell.joint_coverage == np.mean([all(f) for f in flags])
     assert missed_a_state  # some short chain never visits the rare state
+
+
+def test_undefined_t_eff_median_is_null_in_json():
+    # at beta = 1 every replication observes one model, so no t_eff is defined
+    result = run_coverage_experiment((0.5, 0.5), betas=(1.0,), iterations=5, replications=2,
+                                     n_draws=10, seed=1)
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    assert json.loads(result.to_json(), parse_constant=reject)["t_eff_median"] == {"1.0": None}
+    assert result.to_csv().splitlines()[1].endswith(",nan")

@@ -295,7 +295,7 @@ def test_point_estimate_column_is_the_posterior_mean(chain_file):
     report = analyze_chains(chain, prior=prior, n_draws=300, seed=6)
     draws = chainuq.draw_posterior(chainuq.merge_counts([chainuq.count_transitions(c) for c in chain]),
                                    prior, n_draws=300, seed=6)
-    point = dict(zip(draws.labels, chainuq.point_estimate(draws, "mean").tolist()))
+    point = dict(zip(draws.labels, draws.draws.mean(axis=0).tolist()))
     for row in report["models"]:
         assert row["point_estimate"] == row["mean"] == point[row["label"]]
 

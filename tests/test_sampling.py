@@ -14,7 +14,6 @@ from chainuq.errors import ConfigError, DegenerateRowError, NoUniqueStationaryEr
 from chainuq.sampling import (
     PriorSpec,
     draw_posterior,
-    point_estimate,
     sample_transition_matrix,
 )
 
@@ -318,27 +317,3 @@ def test_prior_washout_with_heavy_counts():
     with_prior = draw_posterior(counts, PriorSpec.default(), n_draws=4000, seed=1)
     without = draw_posterior(counts, PriorSpec.fixed(0.0), n_draws=4000, seed=1)
     assert np.abs(with_prior.draws.mean(axis=0) - without.draws.mean(axis=0)).max() <= 0.01
-
-
-class TestPointEstimate:
-    def test_constant_draws(self, make_draws):
-        draws = make_draws(np.tile([0.7, 0.3], (10, 1)))
-        assert np.allclose(point_estimate(draws, "mean"), [0.7, 0.3], atol=1e-15)
-
-    def test_mean_of_two_extremes(self, make_draws):
-        draws = make_draws([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(point_estimate(draws, "mean"), [0.5, 0.5])
-
-    def test_componentwise_median(self, make_draws):
-        draws = make_draws([[0.6, 0.4], [0.5, 0.5], [0.4, 0.6]])
-        assert np.allclose(point_estimate(draws, "median"), [0.5, 0.5])
-
-    def test_median_renormalized(self, make_draws):
-        draws = make_draws([[0.9, 0.1], [0.5, 0.5], [0.45, 0.55]])
-        est = point_estimate(draws, "median")
-        assert abs(est.sum() - 1.0) <= 1e-12
-
-    def test_unknown_statistic_rejected(self, make_draws):
-        draws = make_draws([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ConfigError):
-            point_estimate(draws, "mode")

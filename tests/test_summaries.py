@@ -42,6 +42,13 @@ class TestSummarize:
         assert abs(summary.lower[0] - ss.beta.ppf(0.05, 8, 2)) <= 0.01
         assert abs(summary.upper[0] - ss.beta.ppf(0.95, 8, 2)) <= 0.01
 
+    def test_sd_of_values_near_1e_170(self, make_draws):
+        # their squared deviations underflow to zero unless the column is scaled
+        column = [1e-170, 2e-170, 4e-170]
+        summary = summarize(make_draws([[v, 1.0 - v] for v in column]))
+        assert summary.sd[0] == statistics.stdev(column)
+        assert summary.mean[0] == statistics.mean(column)
+
     def test_single_draw_flags_insufficient(self, make_draws):
         summary = summarize(make_draws([[0.6, 0.4]]))
         assert summary.insufficient_draws
@@ -76,14 +83,22 @@ class TestBayesFactors:
         manual_sd = math.sqrt(((ratios - ratios.mean()) ** 2).sum() / (ratios.size - 1))
         assert abs(bf.sd - manual_sd) / manual_sd <= 0.02
 
-    @pytest.mark.parametrize("seed", [2, 3, 5])
-    def test_sd_of_ratios_near_float_max(self, seed):
+    @pytest.mark.parametrize(
+        "seed, n_draws",
+        [pytest.param(seed, 200, id=str(seed)) for seed in (1, 2, 3, 4, 5)]
+        + [pytest.param(1, 2000, id="1-2000draws")],
+    )
+    def test_sd_of_ratios_near_float_max(self, seed, n_draws):
         # a denominator drawn near zero gives ratios above 1e200, whose
-        # squared deviations overflow; statistics.stdev works in exact fractions
+        # squared deviations overflow; at seeds 1 and 4 a subnormal one gives
+        # a ratio that overflows, and at 2000 draws the plain sum overflows.
+        # statistics works in exact fractions
         counts = count_transitions(index_chain(["B"] + ["A"] * 20))
-        draws = draw_posterior(counts, PriorSpec.fixed(0.005), n_draws=200, seed=seed)
+        draws = draw_posterior(counts, PriorSpec.fixed(0.005), n_draws=n_draws, seed=seed)
         (bf,) = bayes_factors(draws, [("A", "B")])
         assert bf.samples.max() > 1e200
+        assert np.isfinite(bf.samples).all()
+        assert bf.mean == pytest.approx(statistics.mean(bf.samples.tolist()), rel=1e-12)
         assert bf.sd == pytest.approx(statistics.stdev(bf.samples.tolist()), rel=1e-12)
 
     def test_zero_denominators_flagged_and_excluded(self, make_draws):
@@ -103,6 +118,14 @@ class TestBayesFactors:
         draws = make_draws(np.tile([0.5, 0.5], (5, 1)))
         with pytest.raises(LabelError):
             bayes_factors(draws, [(1, 99)])
+
+    @pytest.mark.parametrize("prob", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("label", ["A", "B"])
+    def test_prior_model_prob_must_be_positive_and_finite(self, prob, label):
+        draws = draw_posterior(count_transitions(index_chain(list("ABABBA"))), n_draws=20, seed=1)
+        probs = {"A": 0.5, "B": 0.5, label: prob}
+        with pytest.raises(ConfigError, match=f"'{label}'"):
+            bayes_factors(draws, [("A", "B")], prior_model_probs=probs)
 
 
 class TestSubsetProbability:
@@ -177,6 +200,20 @@ class TestRankStability:
         draws = make_draws(rng.dirichlet([5.0, 1.0, 1.0, 3.0], size=300))
         report = rank_stability(draws, k_top=4)
         assert np.allclose(report.rank_distribution.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_rank_distribution_matches_a_plain_loop(self, make_draws):
+        rng = np.random.default_rng(8)
+        x = rng.dirichlet(np.full(5, 0.7), size=300)
+        x[:40] = x[0]  # a block of repeated draws
+        x[40:60, 1] = x[40:60, 3]  # ties, broken toward the lower index
+        n_draws, n = x.shape
+        plain = np.zeros((n, n))
+        for row in x.tolist():
+            for rank, i in enumerate(sorted(range(n), key=lambda i: (-row[i], i))):
+                plain[i, rank] += 1
+        dist = rank_stability(make_draws(x), k_top=2).rank_distribution
+        assert np.array_equal(dist, plain / n_draws)
+        assert np.allclose(dist.sum(axis=0), 1.0) and np.allclose(dist.sum(axis=1), 1.0)
 
     def test_k_top_out_of_range_rejected(self, make_draws):
         draws = make_draws(np.tile([0.5, 0.5], (5, 1)))
