@@ -42,8 +42,8 @@ WARNINGS = {
     ),
     "k_top_reduced": "top-k reduced from {k_top} to the {n_models} observed models",
     "unstable_bayes_factor": (
-        "B({numerator!r}/{denominator!r}): {n_zero} of {n_draws} draws had a zero "
-        "denominator; summary uses the remaining draws only"
+        "B({numerator!r}/{denominator!r}): {n_zero} of {n_draws} draws had a zero or "
+        "vanishing denominator; summary uses the remaining draws only"
     ),
     "single_model_chain": "only one model was ever sampled; the effective sample size is undefined",
     "negative_ess": "fitted shape total fell below the prior weight; t_eff reported as 0",

@@ -24,9 +24,10 @@ BLOCK_DRAWS = 256
 # Cap on the cells of one (B, I*, I*) block, so that large I* shrinks the
 # block instead of the memory growing as I*^2; below I* = 129 it never binds.
 BLOCK_CELLS = 1 << 22
-# Blocks of fewer cells than this run serially, since handing them to threads
-# costs more than it saves; measured on 2 cores, threads lose at I* <= 10 and
-# win from I* = 14-16 at 256 draws per block.
+# Blocks of fewer cells than this merge into work units of up to this many
+# cells, which run serially, since handing them to threads costs more than it
+# saves; measured on 2 cores, threads lose at I* <= 10 and win from I* = 14-16
+# at 256 draws per block. Larger blocks are a unit each, run on threads.
 POOL_CELLS = 1 << 16
 
 PRIOR_MODES = ("default_reduced", "uniform_fixed", "matrix")
@@ -154,32 +155,51 @@ class _GammaPlan:
         self.small_inverse = 1.0 / shapes[self.small]
         self.n_small = int(self.small.sum())
 
-    def log_variates(self, rng: np.random.Generator, n_matrices: int) -> np.ndarray:
-        """Log-gamma variates for a stack of ``n_matrices`` in the plan's shape.
+    def empty(self, n_matrices: int) -> tuple:
+        """Raw-variate arrays with a row per matrix: the gammas at shapes >= 1,
+        the boosted gammas and the uniforms."""
+        sizes = (self.large_shapes.size, self.n_small, self.n_small)
+        return tuple(np.empty((n_matrices, size)) for size in sizes)
+
+    def draw(self, rng: np.random.Generator, raw: tuple) -> None:
+        """Fill ``raw`` (rows of ``empty``'s arrays) from ``rng``.
 
         The stream is consumed by three calls, in order: the shapes >= 1, the
         boosted small shapes, then the uniforms.
         """
-        out = np.full((n_matrices,) + self.shape, -np.inf)
+        large, boosted, uniform = raw
         if self.large_shapes.size:
-            g = rng.standard_gamma(self.large_shapes, size=(n_matrices,) + self.large_shapes.shape)
-            out[:, self.large] = np.log(g)
+            rng.standard_gamma(self.large_shapes, out=large)
         if self.n_small:
-            boosted = rng.standard_gamma(
-                self.small_boosted, size=(n_matrices,) + self.small_boosted.shape
-            )
-            # log of a Uniform(0, 1] variate; avoids log(0)
-            log_u = np.log1p(-rng.random((n_matrices, self.n_small)))
-            out[:, self.small] = np.log(boosted) + log_u * self.small_inverse
-        return out
+            rng.standard_gamma(self.small_boosted, out=boosted)
+            rng.random(out=uniform)
 
-    def rows(self, rng: np.random.Generator, n_matrices: int) -> np.ndarray:
-        """Row-normalized gamma variates, ``n_matrices`` stacked."""
-        w = self.log_variates(rng, n_matrices)
-        w -= w.max(axis=-1, keepdims=True)
+    def transform(self, raw: tuple) -> np.ndarray:
+        """Row-normalized matrices from raw variates, one per row of ``raw``.
+
+        Every step is elementwise or along a row, so a stack of draws gives
+        each matrix the bits it gets alone.
+        """
+        large, boosted, uniform = raw
+        w = np.full((len(large),) + self.shape, -np.inf)
+        if self.large_shapes.size:
+            w[:, self.large] = np.log(large)
+        if self.n_small:
+            # log of a Uniform(0, 1] variate; avoids log(0)
+            w[:, self.small] = np.log(boosted) + np.log1p(-uniform) * self.small_inverse
+        # row maxima down the columns of a transposed copy: the same values as
+        # w.max(axis=-1), which spends about 50 ns on each short row
+        top = np.ascontiguousarray(w.reshape(-1, w.shape[-1]).T).max(axis=0)
+        w -= top.reshape(w.shape[:-1] + (1,))
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
         return w
+
+    def rows(self, rng: np.random.Generator, n_matrices: int) -> np.ndarray:
+        """Row-normalized gamma variates, ``n_matrices`` stacked."""
+        raw = self.empty(n_matrices)
+        self.draw(rng, raw)
+        return self.transform(raw)
 
 
 def sample_dirichlet(alpha, n_samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -225,18 +245,24 @@ def draw_posterior(
     """Draw stationary-distribution samples from the transition-matrix posterior.
 
     Draws come in blocks of 256 (fewer only when I* > 128, to bound memory).
-    Block k samples its transition matrices from its own RNG stream, spawned
-    from ``seed`` by block index, and every block is generated whole before
-    the result is truncated to ``n_draws``. Blocks share no state, so blocks
-    of at least ``POOL_CELLS`` cells run concurrently on the CPUs the process
-    may use, each writing its own rows. Every matrix of a block, zero
-    entries included, goes through one stacked GTH elimination, unclamped;
-    transient states get exactly zero mass. Uniqueness is decided once, from
-    the support of ``counts + prior``: a draw's support lies inside it, and
-    dropping edges never lowers the number of closed classes (a draw whose
-    underflowed zeros split it gets the vector of one closed class). Hence
-    results are a pure function of ``(counts, prior, n_draws, seed)``, not of
-    the number of CPUs, and draw r is the same for every ``n_draws > r`` (the
+    Block k draws the raw variates of its transition matrices from its own
+    RNG stream, spawned from ``seed`` by block index, and every block is
+    generated whole before the result is truncated to ``n_draws``. Blocks
+    are the unit of streams; work units group them. Blocks of fewer than
+    ``POOL_CELLS`` cells (I* < 16) merge into units of up to ``POOL_CELLS``
+    cells that run inline, so rows are normalised and solved once per unit;
+    larger blocks are a unit each and run concurrently on the CPUs the
+    process may use, each writing its own rows. Every step acts on one
+    matrix at a time, so merging changes no bit (a block holding a single
+    draw stays a unit of its own: numpy sums a one-matrix stack in another
+    order). Every matrix of a unit, zero entries included, goes through one
+    stacked GTH elimination, unclamped; transient states get exactly zero
+    mass. Uniqueness is decided once, from the support of ``counts + prior``:
+    a draw's support lies inside it, and dropping edges never lowers the
+    number of closed classes (a draw whose underflowed zeros split it gets
+    the vector of one closed class). Hence results are a pure function of
+    ``(counts, prior, n_draws, seed)``, not of the number of CPUs or of how
+    blocks form units, and draw r is the same for every ``n_draws > r`` (the
     prefix property).
 
     Parameters
@@ -277,21 +303,34 @@ def draw_posterior(
     block = _block_draws(n)
     n_blocks = -(-n_draws // block)
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
+    cells = block * n * n
+    cuts = {*range(0, n_blocks, max(1, POOL_CELLS // cells)), n_blocks}
+    if n_draws % block == 1:
+        # a one-matrix GTH stack sums in numpy's pairwise order, a larger one
+        # in sequence, so a last block holding one draw is a unit of its own
+        cuts.add(n_blocks - 1)
+    cuts = sorted(cuts)
+    units = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     out = np.empty((n_draws, n))
 
-    def fill(k):
-        start = k * block
-        p = plan.rows(np.random.default_rng(streams[k]), block)[: n_draws - start]
+    def fill(unit):
+        start, stop = unit.start * block, min(unit.stop * block, n_draws)
+        raw = plan.empty(len(unit) * block)
+        for i, k in enumerate(unit):
+            rows = slice(i * block, (i + 1) * block)
+            plan.draw(np.random.default_rng(streams[k]), tuple(r[rows] for r in raw))
+        p = plan.transform(raw)[: stop - start]
+        del raw  # the solve's copies of p are the unit's peak; the variates need not add to it
         pi, ok = _solve_stack(p)
         if not ok.all():
             raise NoUniqueStationaryError(f"draw {start + int(np.argmin(ok))}: {REJECTED}")
-        out[start : start + len(p)] = pi
+        out[start:stop] = pi
 
-    if block * n * n < POOL_CELLS:
-        for k in range(n_blocks):
-            fill(k)
+    if cells < POOL_CELLS:
+        for unit in units:
+            fill(unit)
     else:
-        map_units(fill, range(n_blocks))
+        map_units(fill, units)
     return PosteriorDraws(
         draws=out, seed=int(seed), prior=prior, source=counts, prior_mass=prior_mass
     )

@@ -132,8 +132,8 @@ def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             x[:k] *= outflow[k] / t
             x[k] = dot / t
         pi = (x / x.sum(axis=0)).T
-        residual = np.abs((pi[:, None, :] @ p)[:, 0, :] - pi).max(axis=1)
-    return pi, residual <= RESIDUAL_TOL
+        residual = np.abs((pi[:, None, :] @ p)[:, 0, :] - pi)
+    return pi, (residual <= RESIDUAL_TOL).all(axis=1)
 
 
 def stationary(matrix) -> np.ndarray:

@@ -317,3 +317,52 @@ def test_prior_washout_with_heavy_counts():
     with_prior = draw_posterior(counts, PriorSpec.default(), n_draws=4000, seed=1)
     without = draw_posterior(counts, PriorSpec.fixed(0.0), n_draws=4000, seed=1)
     assert np.abs(with_prior.draws.mean(axis=0) - without.draws.mean(axis=0)).max() <= 0.01
+
+
+def per_block_draws(counts, n_draws, seed):
+    """``draw_posterior``'s draws from a plain loop: one stream, rows and solve per block."""
+    plan = sampling._GammaPlan(sampling._posterior_shapes(counts, PriorSpec.default()))
+    block = sampling._block_draws(counts.n_models)
+    streams = np.random.SeedSequence(seed).spawn(-(-n_draws // block))
+    parts = []
+    for k, stream in enumerate(streams):
+        start = k * block
+        pi, ok = sampling._solve_stack(
+            plan.rows(np.random.default_rng(stream), block)[: n_draws - start]
+        )
+        assert ok.all()
+        parts.append(pi)
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("n_draws", [1, 255, 257, 1000, 7300])
+@pytest.mark.parametrize("n_models", [2, 3, 10, 16, 47])
+def test_draws_match_a_plain_per_block_loop(n_models, n_draws):
+    # below I* = 16 blocks merge into work units; at I* = 3, 7300 draws span two.
+    # Zero counts give shapes below one, so both gamma paths run.
+    rng = np.random.default_rng(n_models)
+    counts = make_counts(rng.integers(0, 5, size=(n_models, n_models)))
+    draws = draw_posterior(counts, n_draws=n_draws, seed=n_draws).draws
+    assert draws.flags.c_contiguous
+    assert np.array_equal(draws, per_block_draws(counts, n_draws, n_draws))
+
+
+@pytest.mark.parametrize("pool_cells", [sampling.POOL_CELLS, 1], ids=["merged", "per-block"])
+def test_rejected_draw_is_named_by_its_global_index(monkeypatch, pool_cells):
+    # the solve rejects the matrix of draw 600, the 89th of block 2
+    counts = make_counts([[40, 12, 3], [9, 50, 6], [4, 7, 33]])
+    plan = sampling._GammaPlan(sampling._posterior_shapes(counts, PriorSpec.default()))
+    stream = np.random.SeedSequence(5).spawn(3)[2]
+    target = plan.rows(np.random.default_rng(stream), 256)[600 - 512]
+    solve = sampling._solve_stack
+
+    def reject_target(p):
+        pi, ok = solve(p)
+        return pi, ok & ~(p == target).all(axis=(1, 2))
+
+    monkeypatch.setattr(sampling, "_solve_stack", reject_target)
+    monkeypatch.setattr(sampling, "POOL_CELLS", pool_cells)
+    with pytest.raises(NoUniqueStationaryError) as err:
+        draw_posterior(counts, n_draws=1000, seed=5)
+    assert type(err.value) is NoUniqueStationaryError
+    assert str(err.value).startswith("draw 600: ")

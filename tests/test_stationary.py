@@ -269,3 +269,24 @@ def test_closed_class_starts_at_the_largest_zero_pivot():
     # states 0 and 1 each reach no lower state; only state 2 is recurrent
     pi = stationary([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
     assert pi.tolist() == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("n", [3, 10, 47])
+def test_stacked_solve_equals_per_block_solves(n):
+    # draw_posterior solves many blocks as one stack, so a stack of blocks must
+    # give every member the bits of its own block's solve; stacks of one
+    # matrix sum in numpy's pairwise order and are left out
+    rng = np.random.default_rng(n)
+    dense = rng.dirichlet(np.ones(n), size=(5, n))
+    zeros = rng.dirichlet(np.ones(n), size=(256, n)) * (rng.random((256, n, n)) < 0.6)
+    zeros[:, np.arange(n), np.arange(n)] += 0.1  # every row keeps some mass
+    zeros /= zeros.sum(axis=-1, keepdims=True)
+    transient = rng.dirichlet(np.ones(n), size=(3, n))
+    transient[:, 1:, 0] = 0.0  # state 0 is never entered
+    transient /= transient.sum(axis=-1, keepdims=True)
+    blocks = [dense, zeros, transient, dense[:2]]
+    pi, ok = _solve_stack(np.concatenate(blocks))
+    parts = [_solve_stack(block) for block in blocks]
+    assert np.array_equal(pi, np.concatenate([part for part, _ in parts]))
+    assert np.array_equal(ok, np.concatenate([flags for _, flags in parts]))
+    assert (zeros == 0).any() and (pi[-5:-2, 0] == 0.0).all()
