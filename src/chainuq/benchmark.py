@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chains import LabeledChain, count_transitions, index_chain
+from .chains import LabeledChain, count_transitions
 from .errors import ConfigError
 from .ess import _betaincinv, effective_sample_size, iid_posterior
 from .sampling import PriorSpec, draw_posterior
@@ -87,7 +87,13 @@ def generate_chain(spec: MixtureChainSpec) -> LabeledChain:
     src = np.arange(t)
     src[1:][copy] = 0
     states = np.concatenate(([first], fresh))[np.maximum.accumulate(src)]
-    return index_chain((states + 1).tolist())
+    # index the states by first appearance, as index_chain would
+    values, first_seen, inverse = np.unique(states, return_index=True, return_inverse=True)
+    order = np.argsort(first_seen)
+    return LabeledChain(
+        labels=tuple((values[order] + 1).tolist()),
+        indices=np.argsort(order)[inverse],
+    )
 
 
 def _derived_seeds(seed: int, beta_index: int, replication: int) -> tuple[int, int]:

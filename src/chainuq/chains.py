@@ -320,8 +320,11 @@ def _scan_plain(path: Path) -> tuple | None:
 
     Plain: UTF-8, no quote or NUL byte, LF or CRLF line ends, no line over
     ``csv.field_size_limit()``, no short row, iterations of an optional ``-``
-    and 1-18 digits. Only rows whose (chain_id, label) bytes differ from the
-    row before's are decoded and looked up.
+    and 1-18 digits. Each block of whole lines is split by one pass over its
+    delimiters (commas and LFs): a line's LF and its first delimiter are
+    positions in that one array, so its comma count and the bounds of its
+    k-th field are differences and lookups there. Only rows whose (chain_id,
+    label) bytes differ from the row before's are decoded and looked up.
     """
     limit, header = csv.field_size_limit(), None
     pairs, codes, iters = {}, array("q"), array("q")
@@ -330,26 +333,33 @@ def _scan_plain(path: Path) -> tuple | None:
             fh.seek(0)
         for data in iter(lambda: fh.read(_BLOCK) + fh.readline(), b""):  # whole lines
             utf8 = data.isascii() or data.decode("utf-8", "replace").encode() == data
-            if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n") or not utf8:
+            if b'"' in data or b"\0" in data or not utf8:
                 return None
-            buf = np.frombuffer(data if data.endswith(b"\n") else data + b"\n", dtype=np.uint8)
-            ends = np.flatnonzero(buf == 10)
+            cr = b"\r" in data
+            if cr and data.count(b"\r") != data.count(b"\r\n"):
+                return None
+            # the block ends with an LF; 8 zero bytes after it let a word be read at any field
+            buf = np.frombuffer(data + b"\n" * (not data.endswith(b"\n")) + bytes(8), np.uint8)
+            delims = np.flatnonzero((buf == 10) | (buf == 44))
+            lf = np.flatnonzero(buf[delims] == 10)  # each line's LF, as a position in delims
+            row0 = np.concatenate(([0], lf[:-1] + 1))  # each line's first delimiter
+            ends = delims[lf]
             starts = np.concatenate(([0], ends[:-1] + 1))
-            ends -= buf[ends - 1] == 13  # the CR of a CRLF; buf[-1] is an LF
+            if cr:
+                ends -= buf[ends - 1] == 13  # the CR of a CRLF; buf[-1] is not one
             if (ends - starts > limit).any():
                 return None
+            keep = ends > starts  # skip blank lines
             if header is None:
                 header = data[: ends[0]].decode("utf-8").split(",")
                 label_col, iter_col, chain_col = _columns(path, header)
-                starts, ends = starts[1:], ends[1:]
-            starts, ends = starts[ends > starts], ends[ends > starts]  # skip blank lines
-            commas = np.append(np.flatnonzero(buf == 44), buf.size)
-            first = np.searchsorted(commas, starts)
-            if (np.searchsorted(commas, ends) - first < len(header) - 1).any():
+                keep[0] = False
+            lf, row0, starts, ends = lf[keep], row0[keep], starts[keep], ends[keep]
+            if (lf - row0 < len(header) - 1).any():
                 return None  # a short row
             field = {  # column k of each row: after its k-th comma to the next comma or line end
-                k: (starts if k == 0 else commas[first + k - 1] + 1,
-                    np.minimum(commas[first + k], ends))
+                k: (starts if k == 0 else delims[row0 + k - 1] + 1,
+                    np.minimum(delims[row0 + k], ends))
                 for k in (label_col, chain_col, iter_col) if k is not None
             }
             if iter_col is not None:
@@ -375,12 +385,24 @@ def _scan_plain(path: Path) -> tuple | None:
     return None if header is None else (pairs, codes, iters, chain_col, iter_col, None)
 
 
+# _LOW_BYTES[w] keeps the low w bytes of a word, which a little-endian read puts first
+_LOW_BYTES = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype=np.uint64)
+
+
 def _same_as_previous(buf, starts, ends):
-    """Whether each field's bytes equal those of the field in the row before (row 0: no)."""
+    """Whether each field's bytes equal those of the field in the row before (row 0: no).
+
+    A field's first 8 bytes, read as one little-endian word and masked to its
+    width, decide most rows with one comparison; ``buf`` holds at least 8
+    bytes after every start. Only a field over 8 bytes whose width and word
+    match the row before's has its bytes compared, one gather per width.
+    """
     width = ends - starts
+    words = np.ndarray(buf.size - 7, dtype="<u8", buffer=buf, strides=(1,))
+    word = words[starts] & _LOW_BYTES[np.minimum(width, 8)]
     same = np.zeros(width.size, dtype=bool)
-    same[1:] = width[1:] == width[:-1]
-    for w in np.flatnonzero(np.bincount(width[same])).tolist():  # one gather per width
+    same[1:] = (width[1:] == width[:-1]) & (word[1:] == word[:-1])
+    for w in np.flatnonzero(np.bincount(width[same & (width > 8)])).tolist():
         rows = np.flatnonzero(same & (width == w))
         window = sliding_window_view(buf, w)
         same[rows] = (window[starts[rows]] == window[starts[rows - 1]]).all(axis=1)

@@ -25,7 +25,7 @@ from . import __version__
 from ._pool import map_units
 from .benchmark import run_coverage_experiment
 from .chains import count_transitions, merge_counts, read_chain_file
-from .errors import ChainUQError, ConfigError, LabelError
+from .errors import ChainUQError, ConfigError, InsufficientTransitionsError, LabelError
 from .ess import effective_sample_size
 from .sampling import PriorSpec, draw_posterior
 from .stationary import classify_support
@@ -504,6 +504,13 @@ def _run_analyze(args) -> int:
     _check_settings(args.draws, seed, levels, args.top_k, declared, subsets)
     # files are read concurrently but joined, and their errors raised, in argument order
     parts = map_units(lambda path: read_chain_file(path, args.format), args.input)
+    for path, part in zip(args.input, parts):  # name the file before any counting
+        for k, chain in enumerate(part, 1):
+            if chain.length < 2:
+                raise InsufficientTransitionsError(
+                    f"{path}: chain {k} of {len(part)} has length {chain.length}"
+                    " and contains no transition"
+                )
     chains = [chain for part in parts for chain in part]
     report = analyze_chains(
         chains,

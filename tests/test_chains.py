@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import chainuq.chains as chains_module
@@ -339,8 +339,10 @@ def oracle_read_csv(path):
 
 CHAIN_IDS = ["1", "2", " 1", "a,b"]
 LABELS = ["A", " A", "A ", "B", "m,1", 'q"r', "x\ny"]
-PLAIN_CHAIN_IDS = ["1", "2", " 1", "ü"]
-PLAIN_LABELS = ["A", " A", "A ", "B", "modèle", "\u00a0A", "\u2003B\u3000"]
+PLAIN_CHAIN_IDS = ["1", "2", " 1", "ü", "chain_0001"]
+# the reader compares a field's first 8 bytes as one word and only longer fields byte by byte
+WORD_LABELS = ["model_01", "model_012", "model_0123456789a", "model_0123456789b", "modèle_1"]
+PLAIN_LABELS = ["A", " A", "A ", "B", "modèle", "\u00a0A", "\u2003B\u3000", *WORD_LABELS]
 FAULTS = ["empty", "blank label", "gap", "repeat", "text", "short", "long"]
 
 
@@ -406,6 +408,8 @@ def read_as_lists(path):
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.booleans().flatmap(csv_files))
+# adjacent labels equal in width and in their first 16 bytes; the search seldom draws these
+@example("chain_id,label\r\nchain_0001,model_0123456789a\r\nchain_0001,model_0123456789b\r\n")
 def test_read_csv_matches_row_by_row_oracle(tmp_path, text):
     path = tmp_path / "chains.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -446,6 +450,24 @@ def test_read_plain_csv_run_across_block_boundary(tmp_path, monkeypatch, chain_i
         rows = [f"{'ab'[k // 30 % 2]},{lab}" for k, lab in enumerate(sticky_labels(200))]
         text = "\n".join(["chain_id,label"] + rows) + "\n"
     path.write_bytes(text.encode("utf-8"))
+    expected = oracle_read_csv(path)
+    forbid_csv_reader(monkeypatch)
+    monkeypatch.setattr(chains_module, "_BLOCK", 64)
+    assert read_as_lists(path) == expected
+
+
+@pytest.mark.parametrize("chain_ids", [False, True])
+def test_read_plain_csv_long_fields_across_block_boundary(tmp_path, monkeypatch, chain_ids):
+    # runs of 1-7 rows cycle through labels equal in their first 8 or 16 bytes;
+    # chain_0001 and chain_0002 differ only in their tenth byte
+    labels = [lab for k in range(40) for lab in [WORD_LABELS[k % 5]] * (k % 7 + 1)]
+    if chain_ids:
+        cids = [f"chain_000{k // 25 % 2 + 1}" for k in range(len(labels))]
+        rows = ["chain_id,label"] + [f"{cid},{lab}" for cid, lab in zip(cids, labels)]
+    else:
+        rows = ["iteration,label"] + [f"{i},{lab}" for i, lab in enumerate(labels)]
+    path = tmp_path / "chain.csv"
+    path.write_bytes(("\n".join(rows) + "\n").encode("utf-8"))
     expected = oracle_read_csv(path)
     forbid_csv_reader(monkeypatch)
     monkeypatch.setattr(chains_module, "_BLOCK", 64)

@@ -114,6 +114,17 @@ def test_empty_input_exits_1(tmp_path, capsys):
     assert main(["analyze", "--input", str(path)]) == 1
 
 
+def test_one_row_input_after_a_good_one_names_its_file(tmp_path, capsys):
+    good = tmp_path / "ab.csv"
+    good.write_text("chain_id,label\na,A\na,B\nb,B\nb,A\n", encoding="utf-8")
+    short = tmp_path / "c.csv"
+    short.write_text("chain_id,label\nc,A\n", encoding="utf-8")
+    assert main(["analyze", "--input", str(good), "--input", str(short)]) == 1
+    assert capsys.readouterr().err == (
+        f"chainuq: input error: {short}: chain 1 of 1 has length 1 and contains no transition\n"
+    )
+
+
 @pytest.mark.parametrize(
     "name, data, where",
     [
