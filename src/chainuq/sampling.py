@@ -24,10 +24,10 @@ BLOCK_DRAWS = 256
 # Cap on the cells of one (B, I*, I*) block, so that large I* shrinks the
 # block instead of the memory growing as I*^2; below I* = 129 it never binds.
 BLOCK_CELLS = 1 << 22
-# Blocks of fewer cells than this merge into work units of up to this many
-# cells, which run serially, since handing them to threads costs more than it
-# saves; measured on 2 cores, threads lose at I* <= 10 and win from I* = 14-16
-# at 256 draws per block. Larger blocks are a unit each, run on threads.
+# Cells of a work unit: consecutive blocks share one row transform and one
+# GTH solve up to this size, since a unit per small block costs more in
+# overhead than threads save (on 2 cores, at I* <= 10). Larger blocks are a
+# unit each.
 POOL_CELLS = 1 << 16
 
 PRIOR_MODES = ("default_reduced", "uniform_fixed", "matrix")
@@ -248,16 +248,14 @@ def draw_posterior(
     Block k draws the raw variates of its transition matrices from its own
     RNG stream, spawned from ``seed`` by block index, and every block is
     generated whole before the result is truncated to ``n_draws``. Blocks
-    are the unit of streams; work units group them. Blocks of fewer than
-    ``POOL_CELLS`` cells (I* < 16) merge into units of up to ``POOL_CELLS``
-    cells that run inline, so rows are normalised and solved once per unit;
-    larger blocks are a unit each and run concurrently on the CPUs the
-    process may use, each writing its own rows. Every step acts on one
-    matrix at a time, so merging changes no bit (a block holding a single
-    draw stays a unit of its own: numpy sums a one-matrix stack in another
-    order). Every matrix of a unit, zero entries included, goes through one
-    stacked GTH elimination, unclamped; transient states get exactly zero
-    mass. Uniqueness is decided once, from the support of ``counts + prior``:
+    are the unit of streams; work units group them. Consecutive blocks form
+    units of up to ``POOL_CELLS`` cells (one block each from I* = 12 up),
+    whose rows are normalised and solved once, and units run concurrently
+    on the CPUs the process may use, each writing its own rows. Every step
+    acts on one matrix at a time, so grouping changes no bit. Every matrix
+    of a unit, zero entries included, goes through one stacked GTH
+    elimination, unclamped; transient states get exactly zero mass.
+    Uniqueness is decided once, from the support of ``counts + prior``:
     a draw's support lies inside it, and dropping edges never lowers the
     number of closed classes (a draw whose underflowed zeros split it gets
     the vector of one closed class). Hence results are a pure function of
@@ -303,14 +301,8 @@ def draw_posterior(
     block = _block_draws(n)
     n_blocks = -(-n_draws // block)
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
-    cells = block * n * n
-    cuts = {*range(0, n_blocks, max(1, POOL_CELLS // cells)), n_blocks}
-    if n_draws % block == 1:
-        # a one-matrix GTH stack sums in numpy's pairwise order, a larger one
-        # in sequence, so a last block holding one draw is a unit of its own
-        cuts.add(n_blocks - 1)
-    cuts = sorted(cuts)
-    units = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    per_unit = max(1, POOL_CELLS // (block * n * n))
+    units = [range(a, min(a + per_unit, n_blocks)) for a in range(0, n_blocks, per_unit)]
     out = np.empty((n_draws, n))
 
     def fill(unit):
@@ -326,11 +318,7 @@ def draw_posterior(
             raise NoUniqueStationaryError(f"draw {start + int(np.argmin(ok))}: {REJECTED}")
         out[start:stop] = pi
 
-    if cells < POOL_CELLS:
-        for unit in units:
-            fill(unit)
-    else:
-        map_units(fill, units)
+    map_units(fill, units)
     return PosteriorDraws(
         draws=out, seed=int(seed), prior=prior, source=counts, prior_mass=prior_mass
     )

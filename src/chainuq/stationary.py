@@ -3,9 +3,11 @@
 The stationary vector is the normalized left eigenvector with eigenvalue one,
 computed by GTH elimination (Grassmann, Taksar & Heyman 1985). It does no
 subtraction, so every component keeps its relative accuracy however small
-(O'Cinneide 1993), and transient states get exactly zero mass. The same
-stacked elimination serves a single matrix and a block of posterior draws; a
-solution that misses the residual tolerance is rejected, never repaired.
+(O'Cinneide 1993), and transient states get exactly zero mass. One stacked
+elimination, summing in one order for every stack size, serves a single
+matrix and a block of posterior draws, so ``stationary(p)`` equals p's solve
+in any stack bit for bit. A solution that misses the residual tolerance is
+rejected, never repaired.
 """
 
 from __future__ import annotations
@@ -95,6 +97,13 @@ def _require_unique(support: np.ndarray) -> None:
         )
 
 
+def _column_sums(v: np.ndarray) -> np.ndarray:
+    """Column sums of a (k, B) array in row order; numpy sums a lone column pairwise."""
+    if v.shape[1] > 1:
+        return v.sum(axis=0)
+    return np.add.accumulate(v[:, 0])[-1:]
+
+
 def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stationary vectors of a (B, I, I) stack by GTH elimination; ``p`` is not modified.
 
@@ -109,16 +118,17 @@ def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     transient, so that step divides by one and back substitution starts at
     k with x[k] = 1 and exact zeros below. Back substitution sets x[k] to
     x[:k] . a[:k, k] / s_k, scaling x[:k] down instead wherever that would
-    exceed 1, so no x overflows. Returns ``(pi, ok)``: ``pi[i]`` is valid
-    where ``ok[i]``, i.e. where its residual ``|pi P - pi|`` is within 1e-8
-    (NaN fails).
+    exceed 1, so no x overflows. Sums run in state order for every stack
+    size, so a member's bits do not depend on the stack around it. Returns
+    ``(pi, ok)``: ``pi[i]`` is valid where ``ok[i]``, i.e. where its
+    residual ``|pi P - pi|`` is within 1e-8 (NaN fails).
     """
     b, n, _ = p.shape
     a = np.moveaxis(p, 0, -1).copy()
     outflow = np.zeros((n, b))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, 0, -1):
-            s = outflow[k] = a[k, :k].sum(axis=0)
+            s = outflow[k] = _column_sums(a[k, :k])
             a[k, :k] /= s + (s == 0)  # a zero outflow divides by one
             a[:k, :k] += a[:k, k, None] * a[None, k, :k]
         ks = np.arange(n)[:, None]
@@ -127,11 +137,11 @@ def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # up to start, x[:k] is zero, and dividing by one keeps x[k] as it is
         outflow[ks <= start] = 1.0
         for k in range(1, n):
-            dot = (x[:k] * a[:k, k]).sum(axis=0) + x[k]
+            dot = _column_sums(x[:k] * a[:k, k]) + x[k]
             t = np.maximum(dot, outflow[k])
             x[:k] *= outflow[k] / t
             x[k] = dot / t
-        pi = (x / x.sum(axis=0)).T
+        pi = (x / _column_sums(x)).T
         residual = np.abs((pi[:, None, :] @ p)[:, 0, :] - pi)
     return pi, (residual <= RESIDUAL_TOL).all(axis=1)
 

@@ -178,6 +178,19 @@ def test_large_model_blocks_keep_prefix():
     assert np.abs(d2.draws.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "n_models, n_draws, longer",
+    [(n, r, 1000) for n in (3, 8, 9, 10, 47) for r in (1, 257, 513, 769)] + [(150, 187, 372)],
+)
+def test_prefix_holds_when_the_last_block_holds_one_draw(n_models, n_draws, longer):
+    # a last block of one draw is solved as a one-matrix stack, which must give
+    # the draw the bits it gets inside its full block
+    rng = np.random.default_rng(n_models)
+    counts = make_counts(rng.integers(0, 5, size=(n_models, n_models)))
+    short = draw_posterior(counts, n_draws=n_draws, seed=4).draws
+    assert np.array_equal(short, draw_posterior(counts, n_draws=longer, seed=4).draws[:n_draws])
+
+
 def bounded(fn, timeout=120.0):
     """Run ``fn`` on a daemon thread and fail unless it returns within ``timeout`` s."""
     outcome = {}
@@ -207,10 +220,14 @@ def fast_switching():
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("n_models, short, long", [(47, 300, 700), (150, 190, 372)])
+@pytest.mark.parametrize(
+    "n_models, short, long", [(3, 7300, 7700), (10, 1000, 1300), (47, 300, 700), (150, 190, 372)]
+)
 def test_draws_do_not_depend_on_worker_count(monkeypatch, fast_switching, n_models, short, long):
-    # 8 workers is more than the cores; blocks must come back bit for bit, in
-    # order, and the prefix property must hold across worker counts
+    # 8 workers is more than the cores; units must come back bit for bit, in
+    # order, and the prefix property must hold across worker counts. Each
+    # short run spans two work units: merged blocks below I* = 12, one block
+    # each above.
     rng = np.random.default_rng(7)
     counts = make_counts(rng.integers(0, 5, size=(n_models, n_models)))
     solved_on = []
@@ -223,7 +240,7 @@ def test_draws_do_not_depend_on_worker_count(monkeypatch, fast_switching, n_mode
     monkeypatch.setattr(sampling, "_solve_stack", spy)
 
     def draws(workers, n_draws):
-        """The draws, and for each block whether it ran on the calling thread."""
+        """The draws, and for each unit's solve whether it ran on the calling thread."""
         monkeypatch.setattr(_pool, "cpu_count", lambda: workers)
         solved_on.clear()
 

@@ -255,6 +255,14 @@ def test_stack_members_match_single_matrix_solves():
     assert pi[1].tolist() == [0.0, 1.0, 0.0]
     assert pi[2, 0] == 0.0
     assert (pi[3:, 2] == 0.0).all()
+    # numpy sums a lone column pairwise from 8 terms up; the kernel must not
+    for n in (9, 47, 200):
+        rng = np.random.default_rng(n)
+        stack = np.stack([random_stochastic(rng, n) for _ in range(3)])
+        pi, ok = _solve_stack(stack)
+        assert ok.all()
+        for member, got in zip(stack, pi):
+            assert np.array_equal(got, stationary(member))
 
 
 def test_unnormalized_total_beyond_float_range_still_normalizes():
@@ -274,8 +282,7 @@ def test_closed_class_starts_at_the_largest_zero_pivot():
 @pytest.mark.parametrize("n", [3, 10, 47])
 def test_stacked_solve_equals_per_block_solves(n):
     # draw_posterior solves many blocks as one stack, so a stack of blocks must
-    # give every member the bits of its own block's solve; stacks of one
-    # matrix sum in numpy's pairwise order and are left out
+    # give every member the bits of its own block's solve
     rng = np.random.default_rng(n)
     dense = rng.dirichlet(np.ones(n), size=(5, n))
     zeros = rng.dirichlet(np.ones(n), size=(256, n)) * (rng.random((256, n, n)) < 0.6)
@@ -284,7 +291,7 @@ def test_stacked_solve_equals_per_block_solves(n):
     transient = rng.dirichlet(np.ones(n), size=(3, n))
     transient[:, 1:, 0] = 0.0  # state 0 is never entered
     transient /= transient.sum(axis=-1, keepdims=True)
-    blocks = [dense, zeros, transient, dense[:2]]
+    blocks = [dense, dense[4:], zeros, transient, dense[:2]]
     pi, ok = _solve_stack(np.concatenate(blocks))
     parts = [_solve_stack(block) for block in blocks]
     assert np.array_equal(pi, np.concatenate([part for part, _ in parts]))
