@@ -73,16 +73,17 @@ class TransitionCounts:
         Internal index -> model label.
     visits : ndarray of int, shape (I,)
         Occupancy counts over all iterations (including the final state).
-    total_transitions : int
-        Sum of all count entries; equals sum of (T_c - 1) over chains.
     n_chains : int
         Number of independent chains that contributed.
+
+    Derived, read-only: ``n_models`` is ``len(labels)``; ``total_transitions``
+    is ``counts.sum()``, the sum of (T_c - 1) over chains; ``total_iterations``
+    is ``visits.sum()``; ``label_to_index`` inverts ``labels``.
     """
 
     counts: np.ndarray
     labels: tuple
     visits: np.ndarray
-    total_transitions: int
     n_chains: int = 1
 
     def __post_init__(self):
@@ -92,6 +93,10 @@ class TransitionCounts:
     @property
     def n_models(self) -> int:
         return len(self.labels)
+
+    @property
+    def total_transitions(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def total_iterations(self) -> int:
@@ -135,13 +140,7 @@ def count_transitions(chain: LabeledChain) -> TransitionCounts:
     n = chain.n_models
     flat = chain.indices[:-1] * n + chain.indices[1:]
     counts = np.bincount(flat, minlength=n * n).reshape(n, n)
-    return TransitionCounts(
-        counts=counts,
-        labels=chain.labels,
-        visits=chain.visit_counts(),
-        total_transitions=chain.length - 1,
-        n_chains=1,
-    )
+    return TransitionCounts(counts=counts, labels=chain.labels, visits=chain.visit_counts())
 
 
 def merge_counts(parts) -> TransitionCounts:
@@ -176,11 +175,7 @@ def merge_counts(parts) -> TransitionCounts:
         counts[np.ix_(pos, pos)] += part.counts
         visits[pos] += part.visits
     return TransitionCounts(
-        counts=counts,
-        labels=labels,
-        visits=visits,
-        total_transitions=int(sum(p.total_transitions for p in parts)),
-        n_chains=int(sum(p.n_chains for p in parts)),
+        counts=counts, labels=labels, visits=visits, n_chains=int(sum(p.n_chains for p in parts))
     )
 
 

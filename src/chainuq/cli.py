@@ -480,6 +480,8 @@ def render_csv(report: dict) -> str:
     ess = report["ess"]
     t_eff = "" if ess["t_eff"] is None else repr(ess["t_eff"])
     out.write(f"# ess t_eff={t_eff} t_raw={ess['t_raw']} prior_weight={ess['prior_weight']!r}\n")
+    for w in report["warnings"]:
+        out.write(f"# warning {w['code']}: {w['message']}\n")
     return out.getvalue()
 
 

@@ -118,7 +118,7 @@ def inverse_digamma(y):
     return float(x[0]) if scalar else x
 
 
-@dataclass
+@dataclass(frozen=True)
 class DirichletFit:
     """Result of a maximum-likelihood Dirichlet fit.
 
@@ -127,27 +127,33 @@ class DirichletFit:
     alpha : ndarray
         Estimated shape parameters, all > 0; infinite when no finite
         maximum exists.
-    iterations : int
-        Number of Newton steps on the shape total.
     converged : bool
         True when the last Newton correction was at most 1e-12 of the
         total; False when no finite maximum exists or the step budget ran
         out.
-    log_likelihood : float
-        Log-likelihood at the returned estimate (NaN when no step was taken).
     log_likelihood_path : ndarray
         Log-likelihood at each Newton step, one entry per step.
     clamped : bool
         True when sample entries were floored at the clamping threshold
         before taking logs; the fit is then approximate.
+
+    Derived, read-only: ``iterations``, the Newton steps on the shape total,
+    is ``len(log_likelihood_path)``; ``log_likelihood``, at the returned
+    estimate, is ``log_likelihood_path[-1]`` (NaN when no step was taken).
     """
 
     alpha: np.ndarray
-    iterations: int
     converged: bool
-    log_likelihood: float
     log_likelihood_path: np.ndarray
     clamped: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log_likelihood_path)
+
+    @property
+    def log_likelihood(self) -> float:
+        return float(self.log_likelihood_path[-1]) if self.iterations else math.nan
 
 
 def _log_likelihood(alpha, mean_log, n_samples):
@@ -209,10 +215,5 @@ def fit_dirichlet(samples) -> DirichletFit:
             break
         s -= correction
     return DirichletFit(
-        alpha=alpha,
-        iterations=len(ll_path),
-        converged=converged,
-        log_likelihood=ll_path[-1] if ll_path else math.nan,
-        log_likelihood_path=np.asarray(ll_path),
-        clamped=clamped,
+        alpha=alpha, converged=converged, log_likelihood_path=np.asarray(ll_path), clamped=clamped
     )

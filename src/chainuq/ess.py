@@ -101,28 +101,44 @@ class EssEstimate:
         set) when the subtraction dips below zero, as NaN for a chain that
         visited a single model, and as infinite when the draws are equal to
         rounding, so the fit has no finite maximum.
-    alpha_hat : ndarray or None
-        Fitted Dirichlet shapes for the stationary draws.
     prior_weight : float
         Total prior mass of the transition-matrix model, (I*)^2 * epsilon
         under the scalar policies.
     t_raw : int
         Total chain iterations the draws were based on.
-    ratio : float
-        t_eff / t_raw.
     fit : DirichletFit or None
         Fit diagnostics (None for the single-model case).
+    negative : bool
+        True when t_eff was raised to 0.0 from below.
+
+    Derived, read-only: ``ratio`` is ``t_eff / t_raw``; ``exceeds_raw`` is
+    ``t_eff > EXCESS_RATIO * t_raw``; ``single_model`` is ``fit is None``;
+    ``alpha_hat`` (the fitted shapes), ``converged`` and ``approximate`` are
+    ``fit.alpha``, ``fit.converged`` and ``fit.clamped``, or None, True and
+    False without a fit.
     """
 
     t_eff: float
-    alpha_hat: np.ndarray | None
     prior_weight: float
     t_raw: int
-    ratio: float
     fit: DirichletFit | None
     negative: bool = False
-    exceeds_raw: bool = False
-    single_model: bool = False
+
+    @property
+    def single_model(self) -> bool:
+        return self.fit is None
+
+    @property
+    def alpha_hat(self) -> np.ndarray | None:
+        return None if self.fit is None else self.fit.alpha
+
+    @property
+    def ratio(self) -> float:
+        return self.t_eff / self.t_raw if self.t_raw else float("nan")
+
+    @property
+    def exceeds_raw(self) -> bool:
+        return self.t_eff > EXCESS_RATIO * self.t_raw
 
     @property
     def converged(self) -> bool:
@@ -147,27 +163,9 @@ def effective_sample_size(draws: PosteriorDraws) -> EssEstimate:
     if draws.n_models == 1:
         # a single observed model pins every draw to (1.0); the dispersion
         # match is undefined
-        return EssEstimate(
-            t_eff=float("nan"),
-            alpha_hat=None,
-            prior_weight=prior_weight,
-            t_raw=t_raw,
-            ratio=float("nan"),
-            fit=None,
-            single_model=True,
-        )
+        return EssEstimate(t_eff=float("nan"), prior_weight=prior_weight, t_raw=t_raw, fit=None)
     fit = fit_dirichlet(draws.draws)
     t_eff = float(fit.alpha.sum() - prior_weight)
     negative = t_eff < 0
-    if negative:
-        t_eff = 0.0
-    return EssEstimate(
-        t_eff=t_eff,
-        alpha_hat=fit.alpha,
-        prior_weight=prior_weight,
-        t_raw=t_raw,
-        ratio=t_eff / t_raw if t_raw else float("nan"),
-        fit=fit,
-        negative=negative,
-        exceeds_raw=t_eff > EXCESS_RATIO * t_raw,
-    )
+    return EssEstimate(t_eff=0.0 if negative else t_eff, prior_weight=prior_weight, t_raw=t_raw,
+                       fit=fit, negative=negative)

@@ -30,40 +30,36 @@ BLOCK_CELLS = 1 << 22
 # unit each.
 POOL_CELLS = 1 << 16
 
-PRIOR_MODES = ("default_reduced", "uniform_fixed", "matrix")
-
 
 @dataclass(frozen=True)
 class PriorSpec:
     """Dirichlet prior policy for the transition-matrix rows.
 
-    Modes
-    -----
-    default_reduced
+    The rule follows from which field is set; setting both is an error.
+
+    neither (``default()``)
         epsilon = 1/I* on every cell of the observed-model matrix (and zero
         for models never sampled, which are excluded from the matrix). This
         weighs like one pseudo-observation per row and is numerically robust.
-    uniform_fixed
-        A caller-supplied scalar epsilon on every cell. epsilon = 0 yields
-        the improper prior; it is legal only when every row has at least one
+    epsilon (``fixed(epsilon)``)
+        A caller-supplied scalar on every cell. epsilon = 0 yields the
+        improper prior; it is legal only when every row has at least one
         positive count and is known to be less stable numerically.
-    matrix
+    epsilon_matrix (``from_matrix(matrix)``)
         An explicit nonnegative weight per cell, for samplers that only ever
         propose a structured subset of moves.
     """
 
-    mode: str = "default_reduced"
-    epsilon: float = 0.0
+    epsilon: float | None = None
     epsilon_matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in PRIOR_MODES:
-            raise ConfigError(f"unknown prior mode {self.mode!r}")
-        if not np.isfinite(self.epsilon) or self.epsilon < 0:
-            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
-        if self.mode == "matrix":
-            if self.epsilon_matrix is None:
-                raise ConfigError("matrix mode requires epsilon_matrix")
+        if self.epsilon is not None:
+            if self.epsilon_matrix is not None:
+                raise ConfigError("set epsilon or epsilon_matrix, not both")
+            if not np.isfinite(self.epsilon) or self.epsilon < 0:
+                raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        elif self.epsilon_matrix is not None:
             m = np.asarray(self.epsilon_matrix, dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ConfigError("epsilon_matrix must be square")
@@ -74,22 +70,21 @@ class PriorSpec:
 
     @classmethod
     def default(cls) -> "PriorSpec":
-        return cls(mode="default_reduced")
+        return cls()
 
     @classmethod
     def fixed(cls, epsilon: float) -> "PriorSpec":
-        return cls(mode="uniform_fixed", epsilon=float(epsilon))
+        return cls(epsilon=float(epsilon))
 
     @classmethod
     def from_matrix(cls, matrix) -> "PriorSpec":
-        return cls(mode="matrix", epsilon_matrix=np.array(matrix, dtype=float))
+        return cls(epsilon_matrix=np.array(matrix, dtype=float))
 
     def resolve(self, n_models: int) -> np.ndarray:
         """Per-cell Dirichlet weights for an I* x I* observed-model matrix."""
-        if self.mode == "default_reduced":
-            return np.full((n_models, n_models), 1.0 / n_models)
-        if self.mode == "uniform_fixed":
-            return np.full((n_models, n_models), float(self.epsilon))
+        if self.epsilon_matrix is None:
+            eps = 1.0 / n_models if self.epsilon is None else float(self.epsilon)
+            return np.full((n_models, n_models), eps)
         if self.epsilon_matrix.shape[0] != n_models:
             raise ConfigError(
                 f"epsilon_matrix is {self.epsilon_matrix.shape[0]}x"
@@ -110,16 +105,16 @@ class PosteriorDraws:
         Root seed the draws were generated from.
     prior : PriorSpec
     source : TransitionCounts
-    prior_mass : float
-        Total Dirichlet prior weight actually used, summed over all cells;
-        equals (I*)^2 * epsilon for the scalar policies.
+
+    Derived, read-only: ``n_draws, n_models`` is ``draws.shape``; ``labels``
+    is ``source.labels``; ``prior_mass``, the total prior weight the draws
+    were sampled with, is ``prior.resolve(n_models).sum()``.
     """
 
     draws: np.ndarray
     seed: int
     prior: PriorSpec
     source: TransitionCounts
-    prior_mass: float
 
     def __post_init__(self):
         self.draws.flags.writeable = False
@@ -131,6 +126,10 @@ class PosteriorDraws:
     @property
     def n_models(self) -> int:
         return self.draws.shape[1]
+
+    @property
+    def prior_mass(self) -> float:
+        return float(self.prior.resolve(self.n_models).sum())
 
     @property
     def labels(self) -> tuple:
@@ -290,7 +289,6 @@ def draw_posterior(
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     if prior is None:
         prior = PriorSpec.default()
-    prior_mass = float(prior.resolve(counts.n_models).sum())
     n = counts.n_models
     shapes = _posterior_shapes(counts, prior)
     try:
@@ -319,7 +317,5 @@ def draw_posterior(
         out[start:stop] = pi
 
     map_units(fill, units)
-    return PosteriorDraws(
-        draws=out, seed=int(seed), prior=prior, source=counts, prior_mass=prior_mass
-    )
+    return PosteriorDraws(draws=out, seed=int(seed), prior=prior, source=counts)
 

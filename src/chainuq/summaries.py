@@ -51,7 +51,10 @@ def _sample_stats(samples: np.ndarray, lo: float, hi: float) -> dict:
 
 @dataclass(frozen=True)
 class UncertaintySummary:
-    """Componentwise uncertainty report for the posterior model probabilities."""
+    """Componentwise uncertainty report for the posterior model probabilities.
+
+    Derived, read-only: ``insufficient_draws`` is ``n_draws < 2`` (NaN SDs).
+    """
 
     labels: tuple
     mean: np.ndarray
@@ -61,7 +64,10 @@ class UncertaintySummary:
     upper: np.ndarray
     levels: tuple
     n_draws: int
-    insufficient_draws: bool = False
+
+    @property
+    def insufficient_draws(self) -> bool:
+        return self.n_draws < 2
 
 
 def summarize(draws: PosteriorDraws, levels=DEFAULT_LEVELS) -> UncertaintySummary:
@@ -76,7 +82,6 @@ def summarize(draws: PosteriorDraws, levels=DEFAULT_LEVELS) -> UncertaintySummar
         labels=draws.labels,
         levels=(lo, hi),
         n_draws=draws.n_draws,
-        insufficient_draws=draws.n_draws < 2,
         **_sample_stats(draws.draws, lo, hi),
     )
 

@@ -25,16 +25,9 @@ def build_draws(array, labels=None, prior=None, seed=0, visits=None):
         counts=np.ones((n, n), dtype=np.int64),
         labels=tuple(labels),
         visits=np.asarray(visits, dtype=np.int64),
-        total_transitions=int(n * n),
         n_chains=1,
     )
-    return PosteriorDraws(
-        draws=array,
-        seed=seed,
-        prior=prior,
-        source=counts,
-        prior_mass=float(prior.resolve(n).sum()),
-    )
+    return PosteriorDraws(draws=array, seed=seed, prior=prior, source=counts)
 
 
 @pytest.fixture

@@ -141,6 +141,13 @@ def test_merge_never_bridges_chain_boundaries(raw1, raw2):
     assert merged.counts.sum() == merged.total_transitions
 
 
+def test_total_transitions_of_three_merged_chains():
+    raws = ["ABBA", "CCAB" * 7, "BDDA" * 3 + "B"]
+    merged = merge_counts([count_transitions(index_chain(raw)) for raw in raws])
+    assert merged.n_chains == 3
+    assert merged.total_transitions == merged.counts.sum() == sum(len(raw) - 1 for raw in raws)
+
+
 @given(labels_strategy, st.randoms(use_true_random=False))
 def test_relabeling_permutes_counts_consistently(raw, rnd):
     chain = index_chain(raw)

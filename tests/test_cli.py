@@ -415,6 +415,22 @@ def test_csv_output_quotes_labels_with_commas(tmp_path, capsys):
     assert sorted(row[0] for row in rows[1:]) == ["a,b", "c"]
 
 
+def test_csv_output_keeps_the_warnings(tmp_path, capsys):
+    chain = tmp_path / "tiny.txt"
+    chain.write_text("B\n" + "A\n" * 20, encoding="utf-8")
+    args = ["analyze", "--input", str(chain), "--epsilon", "fixed:0.005", "--bf", "A,B",
+            "--draws", "200", "--seed", "1"]
+    report = run_json(capsys, args)
+    assert main(args + ["--out-format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    warned = [l for l in lines if l.startswith("# warning ")]
+    assert lines[-len(warned) - 1].startswith("# ess ")
+    assert warned == [f"# warning {w['code']}: {w['message']}" for w in report["warnings"]]
+    assert {"unstable_bayes_factor", "ess_exceeds_iterations", "clamped_draws"} <= {
+        w["code"] for w in report["warnings"]
+    }
+
+
 def test_matrix_epsilon_policy(tmp_path, chain_file, capsys):
     weights = tmp_path / "eps.csv"
     weights.write_text("0.5,0.5\n0.5,0.5\n", encoding="utf-8")

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from chainuq import _pool, sampling
 from chainuq.chains import TransitionCounts, count_transitions, index_chain
 from chainuq.errors import ConfigError, DegenerateRowError, NoUniqueStationaryError
+from chainuq.ess import effective_sample_size
 from chainuq.sampling import (
+    PosteriorDraws,
     PriorSpec,
     draw_posterior,
     sample_transition_matrix,
@@ -29,7 +31,6 @@ def make_counts(matrix, labels=None):
         counts=matrix,
         labels=tuple(labels),
         visits=visits,
-        total_transitions=int(matrix.sum()),
         n_chains=1,
     )
 
@@ -56,9 +57,35 @@ class TestPriorSpec:
         with pytest.raises(ConfigError):
             PriorSpec.fixed(-0.1)
 
-    def test_unknown_mode_rejected(self):
+    def test_epsilon_field_is_the_fixed_rule(self):
+        assert np.array_equal(PriorSpec(epsilon=0.5).resolve(3), np.full((3, 3), 0.5))
+
+    def test_both_fields_rejected(self):
         with pytest.raises(ConfigError):
-            PriorSpec(mode="bogus")
+            PriorSpec(epsilon=0.5, epsilon_matrix=np.ones((3, 3)))
+
+
+def test_removed_fields_are_not_constructor_arguments():
+    counts = make_counts([[1, 1], [1, 1]])
+    with pytest.raises(TypeError):
+        PriorSpec(mode="uniform_fixed", epsilon_matrix=np.ones((3, 3)))
+    with pytest.raises(TypeError):
+        TransitionCounts(counts=counts.counts, labels=counts.labels, visits=counts.visits,
+                         total_transitions=4)
+    with pytest.raises(TypeError):
+        PosteriorDraws(draws=np.full((2, 2), 0.5), seed=0, prior=PriorSpec.default(),
+                       source=counts, prior_mass=1.0)
+
+
+@pytest.mark.parametrize("prior", [
+    PriorSpec.fixed(0.3), PriorSpec.from_matrix([[0.1, 0.2, 0.0], [0.4, 0.0, 0.3], [0.0, 0.5, 0.6]]),
+], ids=["fixed", "matrix"])
+def test_prior_mass_is_the_resolved_prior_total(prior):
+    counts = count_transitions(index_chain("AABBCACBBCAACB" * 5))
+    draws = draw_posterior(counts, prior, n_draws=300, seed=4)
+    total = float(prior.resolve(3).sum())
+    assert draws.prior_mass == total
+    assert effective_sample_size(draws).prior_weight == total
 
 
 def test_symmetric_dirichlet_row_mean():
@@ -355,7 +382,7 @@ def per_block_draws(counts, n_draws, seed):
 @pytest.mark.parametrize("n_draws", [1, 255, 257, 1000, 7300])
 @pytest.mark.parametrize("n_models", [2, 3, 10, 16, 47])
 def test_draws_match_a_plain_per_block_loop(n_models, n_draws):
-    # below I* = 16 blocks merge into work units; at I* = 3, 7300 draws span two.
+    # below I* = 12 blocks merge into work units; at I* = 3, 7300 draws span two.
     # Zero counts give shapes below one, so both gamma paths run.
     rng = np.random.default_rng(n_models)
     counts = make_counts(rng.integers(0, 5, size=(n_models, n_models)))
