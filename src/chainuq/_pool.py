@@ -39,9 +39,5 @@ def map_units(fn, units) -> list:
         with np.errstate(**errstate):
             return fn(unit)
 
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = [pool.submit(run, unit) for unit in units]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, units))

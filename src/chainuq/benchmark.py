@@ -109,7 +109,7 @@ def _derived_seeds(seed: int, beta_index: int, replication: int) -> tuple[int, i
 METHODS = ("markov", "iid")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MethodSummary:
     """Aggregates for one (beta, method) cell of the coverage study."""
 
@@ -121,7 +121,7 @@ class MethodSummary:
     replications: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageResult:
     """Full output of the coverage study.
 

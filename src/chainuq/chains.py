@@ -11,7 +11,6 @@ import csv
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .errors import (
 _BLOCK = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledChain:
     """One run of a discrete model-indexing variable.
 
@@ -61,7 +60,7 @@ class LabeledChain:
         return np.bincount(self.indices, minlength=self.n_models)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionCounts:
     """Observed one-step transition frequencies over the models seen in a chain.
 
@@ -221,13 +220,15 @@ def _read_lines(path: Path) -> LabeledChain:
 
 
 def _read_csv(path: Path) -> list[LabeledChain]:
-    # One pass keeps two integers per row: the code of its distinct
-    # (chain_id, raw label) pair and its iteration; it also returns the
-    # chain_id and iteration columns and "<line>: <problem>" if a row stopped
-    # it. Labels are then stripped and indexed once per pair, and the row
-    # checks run as array operations.
-    pairs, codes, iters, chain_col, iter_col, stop = _scan_plain(path) or _scan_rows(path)
-    if not codes and stop is None:
+    # One pass keeps two integers per row: the code of its distinct (chain_id,
+    # raw label) pair and its iteration, or gives None at a row it cannot take.
+    # Labels are then stripped and indexed once per pair, and the row checks run
+    # as yes/no array operations; _first_error reads a failing file again.
+    scan = _scan_plain(path) or _scan_rows(path)
+    if scan is None:
+        raise _first_error(path)
+    pairs, codes, iters, chain_col, iter_col = scan
+    if not codes:
         raise EmptyChainError(f"{path}: no rows found")
 
     # per pair: its chain and its stripped label's index in that chain, both
@@ -240,31 +241,18 @@ def _read_csv(path: Path) -> list[LabeledChain]:
         label = label.strip()
         per_pair.append((c, order.setdefault(label, len(order)), not label))
     pair_chain, pair_local, pair_empty = np.array(per_pair, dtype=np.intp).reshape(-1, 3).T
+    if pair_empty.any():
+        raise _first_error(path)
     codes = np.frombuffer(codes, dtype=np.int64)
     by_chain = np.argsort(pair_chain[codes], kind="stable")
     sorted_codes = codes[by_chain]
     sorted_chain = pair_chain[sorted_codes]
-
-    # the first failing row of each check, in the order the checks apply to one row
-    empty = np.flatnonzero(pair_empty[codes])
-    failures = [(empty[0], "empty label")] if empty.size else []
     if iter_col is not None:
         it = np.frombuffer(iters, dtype=np.int64)[by_chain]
         # np.diff wraps around, so the smallest int64 would seem to follow the largest
         step = (np.diff(it) != 1) | (it[:-1] == np.iinfo(np.int64).max)
-        gap = np.flatnonzero(step & (np.diff(sorted_chain) == 0)) + 1
-        if gap.size:
-            p = gap[np.argmin(by_chain[gap])]
-            cid = list(chains)[sorted_chain[p]]
-            failures.append((
-                by_chain[p],
-                f"iteration {it[p]} does not follow {it[p - 1]} consecutively in chain {cid!r}",
-            ))
-    if failures:
-        first, message = min(failures, key=lambda f: f[0])
-        raise ChainFileError(f"{path}:{_line_of(path, first)}: {message}")
-    if stop is not None:
-        raise ChainFileError(f"{path}:{stop}")
+        if (step & (np.diff(sorted_chain) == 0)).any():
+            raise _first_error(path)
 
     local = pair_local[sorted_codes]
     ends = np.cumsum(np.bincount(sorted_chain, minlength=len(chains)))
@@ -274,6 +262,42 @@ def _read_csv(path: Path) -> list[LabeledChain]:
     ]
 
 
+def _first_error(path: Path) -> ChainFileError:
+    """The error for the first data row, in file order, that a check rejects, at its last line.
+
+    A row's checks, in order: as many fields as the header, a label not empty once
+    stripped, an integer iteration that fits in 64 bits and is one past its chain's last.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        label_col, iter_col, chain_col = _columns(path, header)
+
+        def error(problem):
+            return ChainFileError(f"{path}:{reader.line_num}: {problem}")
+
+        previous = {}  # raw chain_id -> iteration of its last row
+        for row in filter(None, reader):
+            if len(row) < len(header):
+                return error(f"row has {len(row)} fields, header has {len(header)}")
+            if not row[label_col].strip():
+                return error("empty label")
+            if iter_col is None:
+                continue
+            try:
+                it = int(row[iter_col])
+            except ValueError:
+                return error("iteration is not an integer")
+            if not -(1 << 63) <= it < 1 << 63:
+                return error(f"iteration {row[iter_col].strip()} does not fit in 64 bits")
+            cid = "" if chain_col is None else row[chain_col]
+            if cid in previous and it != previous[cid] + 1:
+                return error(
+                    f"iteration {it} does not follow {previous[cid]} consecutively in chain {cid!r}"
+                )
+            previous[cid] = it
+
+
 def _columns(path: Path, header: list) -> tuple:
     column = {name: i for i, name in enumerate(header)}  # last duplicate wins
     if "label" not in column:
@@ -281,8 +305,8 @@ def _columns(path: Path, header: list) -> tuple:
     return column["label"], column.get("iteration"), column.get("chain_id")
 
 
-def _scan_rows(path: Path) -> tuple:
-    """The pass over any CSV, one ``csv.reader`` row at a time."""
+def _scan_rows(path: Path) -> tuple | None:
+    """The pass over any CSV, one ``csv.reader`` row at a time; None at a row it cannot take."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -294,20 +318,17 @@ def _scan_rows(path: Path) -> tuple:
             for row in reader:
                 if len(row) < len(header):
                     if row:
-                        break
+                        return None
                     continue  # blank line
                 if iter_col is not None:
                     try:
                         add_iter(int(row[iter_col]))
                     except (ValueError, OverflowError):
-                        break
+                        return None
                 add_code(code_of(key(row), len(pairs)))
-            else:
-                return pairs, codes, iters, chain_col, iter_col, None
         except csv.Error as exc:  # a field over csv.field_size_limit(), or NUL before 3.11
             raise ChainFileError(f"{path}:{reader.line_num}: {exc}") from None
-    stop = f"{reader.line_num}: {_row_problem(row, header, label_col, iter_col)}"
-    return pairs, codes, iters, chain_col, iter_col, stop
+    return pairs, codes, iters, chain_col, iter_col
 
 
 def _scan_plain(path: Path) -> tuple | None:
@@ -377,7 +398,7 @@ def _scan_plain(path: Path) -> tuple | None:
             keys = keys[0] if chain_col is None else zip(*keys)
             run_codes = np.array([pairs.setdefault(k, len(pairs)) for k in keys], dtype=np.int64)
             codes.frombytes(np.repeat(run_codes, np.diff(runs, append=starts.size)).tobytes())
-    return None if header is None else (pairs, codes, iters, chain_col, iter_col, None)
+    return None if header is None else (pairs, codes, iters, chain_col, iter_col)
 
 
 # _LOW_BYTES[w] keeps the low w bytes of a word, which a little-endian read puts first
@@ -402,25 +423,3 @@ def _same_as_previous(buf, starts, ends):
         window = sliding_window_view(buf, w)
         same[rows] = (window[starts[rows]] == window[starts[rows - 1]]).all(axis=1)
     return same
-
-
-def _line_of(path: Path, row: int) -> int:
-    """Physical line on which data row ``row`` (0-based, blank lines skipped) ends."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        ends = (reader.line_num for fields in reader if fields)
-        return next(islice(ends, row, None))
-
-
-def _row_problem(row: list, header: list, label_col: int, iter_col: int | None) -> str:
-    """Why the pass stopped at ``row``, checked in the order rows are checked."""
-    if len(row) < len(header):
-        return f"row has {len(row)} fields, header has {len(header)}"
-    if not row[label_col].strip():
-        return "empty label"
-    try:
-        int(row[iter_col])
-    except ValueError:
-        return "iteration is not an integer"
-    return f"iteration {row[iter_col].strip()} does not fit in 64 bits"

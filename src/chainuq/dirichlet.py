@@ -118,7 +118,7 @@ def inverse_digamma(y):
     return float(x[0]) if scalar else x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletFit:
     """Result of a maximum-likelihood Dirichlet fit.
 

@@ -32,7 +32,7 @@ def _betaincinv():
     return betaincinv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IidPosterior:
     """Dirichlet posterior for the occupancy probabilities under i.i.d. sampling.
 

@@ -31,7 +31,7 @@ BLOCK_CELLS = 1 << 22
 POOL_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorSpec:
     """Dirichlet prior policy for the transition-matrix rows.
 
@@ -48,6 +48,9 @@ class PriorSpec:
     epsilon_matrix (``from_matrix(matrix)``)
         An explicit nonnegative weight per cell, for samplers that only ever
         propose a structured subset of moves.
+
+    Two specs are equal, and hash alike, when they hold equal values, matrices
+    compared cell by cell.
     """
 
     epsilon: float | None = None
@@ -57,8 +60,13 @@ class PriorSpec:
         if self.epsilon is not None:
             if self.epsilon_matrix is not None:
                 raise ConfigError("set epsilon or epsilon_matrix, not both")
-            if not np.isfinite(self.epsilon) or self.epsilon < 0:
+            try:
+                epsilon = float(self.epsilon)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"epsilon must be a number, got {self.epsilon!r}") from None
+            if not np.isfinite(epsilon) or epsilon < 0:
                 raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+            object.__setattr__(self, "epsilon", epsilon)
         elif self.epsilon_matrix is not None:
             m = np.asarray(self.epsilon_matrix, dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -68,13 +76,23 @@ class PriorSpec:
             object.__setattr__(self, "epsilon_matrix", m)
             m.flags.writeable = False
 
+    def _key(self) -> tuple:
+        m = self.epsilon_matrix
+        return self.epsilon, None if m is None else tuple(map(tuple, m.tolist()))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, PriorSpec) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
     @classmethod
     def default(cls) -> "PriorSpec":
         return cls()
 
     @classmethod
     def fixed(cls, epsilon: float) -> "PriorSpec":
-        return cls(epsilon=float(epsilon))
+        return cls(epsilon=epsilon)
 
     @classmethod
     def from_matrix(cls, matrix) -> "PriorSpec":
@@ -83,7 +101,7 @@ class PriorSpec:
     def resolve(self, n_models: int) -> np.ndarray:
         """Per-cell Dirichlet weights for an I* x I* observed-model matrix."""
         if self.epsilon_matrix is None:
-            eps = 1.0 / n_models if self.epsilon is None else float(self.epsilon)
+            eps = 1.0 / n_models if self.epsilon is None else self.epsilon
             return np.full((n_models, n_models), eps)
         if self.epsilon_matrix.shape[0] != n_models:
             raise ConfigError(
@@ -93,7 +111,7 @@ class PriorSpec:
         return np.array(self.epsilon_matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorDraws:
     """Stationary-distribution draws under the transition-matrix posterior.
 

@@ -49,7 +49,7 @@ def _sample_stats(samples: np.ndarray, lo: float, hi: float) -> dict:
     return stats if samples.ndim > 1 else {k: float(v) for k, v in stats.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UncertaintySummary:
     """Componentwise uncertainty report for the posterior model probabilities.
 
@@ -86,7 +86,7 @@ def summarize(draws: PosteriorDraws, levels=DEFAULT_LEVELS) -> UncertaintySummar
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BayesFactorSummary:
     """Posterior summary of one evidence ratio between two models.
 
@@ -165,7 +165,7 @@ def _prior_prob(prior_model_probs: dict, lab) -> float:
     return prob
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetSummary:
     """Posterior summary of the total probability of a set of models."""
 
@@ -214,7 +214,7 @@ def subset_probability(draws: PosteriorDraws, subset, levels=DEFAULT_LEVELS) -> 
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankReport:
     """Stability of model ranks across the posterior draws.
 

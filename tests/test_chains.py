@@ -300,6 +300,38 @@ def test_read_csv_byte_order_mark_keeps_iteration_check(tmp_path, quote):
     assert read_error(path) == f"{path}:4: iteration 3 does not follow 1 consecutively in chain ''"
 
 
+NINETEEN = "9" * 19
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        (
+            [["0", "A"], ["2", "B"], ["3", ""]],
+            3,
+            "iteration 2 does not follow 0 consecutively in chain ''",
+        ),
+        ([["0", "A"], ["1", ""], ["3", "B"]], 3, "empty label"),
+        ([["0", ""], ["1"]], 2, "empty label"),
+        ([["0", "A"], ["1"], ["2", ""]], 3, "row has 1 fields, header has 2"),
+        ([["0", "A"], ["1"], [NINETEEN, "B"]], 3, "row has 1 fields, header has 2"),
+        ([["0", "A"], [NINETEEN, "B"], ["2"]], 3, f"iteration {NINETEEN} does not fit in 64 bits"),
+        ([["0", "A"], ["x", ""]], 3, "empty label"),  # two faults on one row
+    ],
+    ids=["gap-then-empty", "empty-then-gap", "empty-then-short", "short-then-empty",
+         "short-then-19-digits", "19-digits-then-short", "empty-and-text-on-one-row"],
+)
+def test_read_csv_reports_first_failing_row_in_check_order(tmp_path, quote, rows, line, message):
+    # the first row in file order that fails a check is reported; on that row the
+    # checks apply in order: field count, empty label, integer, 64 bits, consecutive
+    path = tmp_path / "chains.csv"
+    rows = [["iteration", "label"]] + rows
+    text = "".join(",".join(f"{quote}{field}{quote}" for field in row) + "\n" for row in rows)
+    path.write_text(text, encoding="utf-8")
+    assert read_error(path) == f"{path}:{line}: {message}"
+
+
 def oracle_read_csv(path):
     """Row-by-row reference reader: (labels, indices) per chain, or the error."""
     with open(path, encoding="utf-8-sig", newline="") as fh:

@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,15 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainuq import _pool, sampling
+from chainuq.benchmark import run_coverage_experiment
 from chainuq.chains import TransitionCounts, count_transitions, index_chain
 from chainuq.errors import ConfigError, DegenerateRowError, NoUniqueStationaryError
-from chainuq.ess import effective_sample_size
+from chainuq.ess import effective_sample_size, iid_posterior
 from chainuq.sampling import (
     PosteriorDraws,
     PriorSpec,
     draw_posterior,
     sample_transition_matrix,
 )
+from chainuq.summaries import bayes_factors, rank_stability, subset_probability, summarize
 
 
 def make_counts(matrix, labels=None):
@@ -63,6 +67,25 @@ class TestPriorSpec:
     def test_both_fields_rejected(self):
         with pytest.raises(ConfigError):
             PriorSpec(epsilon=0.5, epsilon_matrix=np.ones((3, 3)))
+
+    def test_epsilon_is_converted_to_float(self):
+        assert np.array_equal(PriorSpec(epsilon="0.5").resolve(2), np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize("epsilon", ["x", object()], ids=["text", "object"])
+    def test_epsilon_not_a_number_rejected(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon"):
+            PriorSpec(epsilon=epsilon)
+
+    def test_equal_values_are_equal_specs(self):
+        a, b = PriorSpec.from_matrix(np.ones((2, 2))), PriorSpec.from_matrix(np.ones((2, 2)))
+        assert a == b and hash(a) == hash(b)
+        zero = PriorSpec.from_matrix([[0.0, 1.0], [1.0, 0.0]])
+        negative_zero = PriorSpec.from_matrix([[-0.0, 1.0], [1.0, 0.0]])
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        assert a != zero and a != PriorSpec.from_matrix(np.ones((3, 3)))
+        assert PriorSpec.fixed(1) == PriorSpec(epsilon=1.0) != PriorSpec.default()
+        assert hash(PriorSpec.fixed(1)) == hash(PriorSpec(epsilon=1.0))
+        assert PriorSpec.default() == PriorSpec() and PriorSpec.fixed(1) != a
 
 
 def test_removed_fields_are_not_constructor_arguments():
@@ -311,6 +334,102 @@ def test_cpu_count_falls_back_without_affinity(monkeypatch):
     assert _pool.cpu_count() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _pool.cpu_count() == 1
+
+
+def two_workers(monkeypatch):
+    monkeypatch.setattr(_pool, "cpu_count", lambda: 2)
+
+
+def test_map_units_keeps_input_order_when_later_units_finish_first(monkeypatch):
+    two_workers(monkeypatch)
+    unit_1_done = threading.Event()
+
+    def fn(unit):
+        if unit == 0:
+            assert unit_1_done.wait(10)
+        else:
+            unit_1_done.set()
+        return unit
+
+    assert bounded(lambda: _pool.map_units(fn, [0, 1])) == [0, 1]
+
+
+def test_map_units_raises_first_exception_in_input_order(monkeypatch):
+    two_workers(monkeypatch)
+    unit_1_failed = threading.Event()
+
+    def fn(unit):
+        if unit == 0:
+            assert unit_1_failed.wait(10)
+            time.sleep(0.1)  # unit 1's exception reaches its future well before this one
+        else:
+            unit_1_failed.set()
+        raise ValueError(f"unit {unit}")
+
+    with pytest.raises(ValueError, match="unit 0"):
+        bounded(lambda: _pool.map_units(fn, [0, 1]))
+
+
+def test_map_units_cancels_units_queued_behind_a_failure(monkeypatch):
+    # unit 0 fails while unit 1 holds the other worker; the freed worker may take
+    # unit 2 before the caller sees the failure, but units 3-19 stay queued
+    two_workers(monkeypatch)
+    started = []
+
+    def fn(unit):
+        started.append(unit)
+        if unit == 0:
+            raise ValueError("unit 0")
+        time.sleep(0.5)
+
+    with pytest.raises(ValueError, match="unit 0"):
+        bounded(lambda: _pool.map_units(fn, range(20)))
+    assert set(started) <= {0, 1, 2}
+
+
+def test_map_units_runs_each_unit_under_callers_error_state(monkeypatch):
+    two_workers(monkeypatch)
+
+    def run():
+        with np.errstate(over="raise", under="ignore", divide="warn", invalid="print"):
+            return np.geterr(), _pool.map_units(lambda unit: np.geterr(), range(4))
+
+    caller, seen = bounded(run)
+    assert caller != np.geterr()
+    assert seen == [caller] * 4
+
+
+def test_result_records_compare_and_hash_by_identity():
+    # records that hold arrays compare by identity, so ==, `in` and hash() never raise
+    chain = index_chain(["A", "B", "A", "A", "B", "C", "A"])
+    counts = count_transitions(chain)
+    draws = draw_posterior(counts, n_draws=50, seed=1)
+    study = run_coverage_experiment(
+        (0.5, 0.5), (0.0,), iterations=30, replications=2, n_draws=20, seed=1
+    )
+    records = [
+        chain,
+        counts,
+        draws,
+        effective_sample_size(draws).fit,
+        iid_posterior(counts.visits),
+        summarize(draws),
+        bayes_factors(draws, [("A", "B")])[0],
+        subset_probability(draws, ["A", "C"]),
+        rank_stability(draws, k_top=2),
+        study.cells[0],
+        study,
+    ]
+    assert [type(r).__name__ for r in records] == [
+        "LabeledChain", "TransitionCounts", "PosteriorDraws", "DirichletFit", "IidPosterior",
+        "UncertaintySummary", "BayesFactorSummary", "SubsetSummary", "RankReport",
+        "MethodSummary", "CoverageResult",
+    ]
+    for record in records:
+        twin = dataclasses.replace(record)
+        assert record == record and record != twin
+        assert record in records and twin not in records
+        assert len({record, twin}) == 2  # hash() works
 
 
 def test_reducible_counts_with_zero_prior_raise_with_draw_index():
