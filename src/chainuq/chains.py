@@ -265,37 +265,41 @@ def _read_csv(path: Path) -> list[LabeledChain]:
 def _first_error(path: Path) -> ChainFileError:
     """The error for the first data row, in file order, that a check rejects, at its last line.
 
-    A row's checks, in order: as many fields as the header, a label not empty once
-    stripped, an integer iteration that fits in 64 bits and is one past its chain's last.
+    A row's checks, in order: ``csv.reader`` can read it, as many fields as the header,
+    a label not empty once stripped, an integer iteration that fits in 64 bits and is
+    one past its chain's last.
     """
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        label_col, iter_col, chain_col = _columns(path, header)
 
         def error(problem):
             return ChainFileError(f"{path}:{reader.line_num}: {problem}")
 
-        previous = {}  # raw chain_id -> iteration of its last row
-        for row in filter(None, reader):
-            if len(row) < len(header):
-                return error(f"row has {len(row)} fields, header has {len(header)}")
-            if not row[label_col].strip():
-                return error("empty label")
-            if iter_col is None:
-                continue
-            try:
-                it = int(row[iter_col])
-            except ValueError:
-                return error("iteration is not an integer")
-            if not -(1 << 63) <= it < 1 << 63:
-                return error(f"iteration {row[iter_col].strip()} does not fit in 64 bits")
-            cid = "" if chain_col is None else row[chain_col]
-            if cid in previous and it != previous[cid] + 1:
-                return error(
-                    f"iteration {it} does not follow {previous[cid]} consecutively in chain {cid!r}"
-                )
-            previous[cid] = it
+        try:
+            header = next(reader)
+            label_col, iter_col, chain_col = _columns(path, header)
+            previous = {}  # raw chain_id -> iteration of its last row
+            for row in filter(None, reader):
+                if len(row) < len(header):
+                    return error(f"row has {len(row)} fields, header has {len(header)}")
+                if not row[label_col].strip():
+                    return error("empty label")
+                if iter_col is None:
+                    continue
+                try:
+                    it = int(row[iter_col])
+                except ValueError:
+                    return error("iteration is not an integer")
+                if not -(1 << 63) <= it < 1 << 63:
+                    return error(f"iteration {row[iter_col].strip()} does not fit in 64 bits")
+                cid = "" if chain_col is None else row[chain_col]
+                if cid in previous and it != previous[cid] + 1:
+                    return error(
+                        f"iteration {it} does not follow {previous[cid]} consecutively in chain {cid!r}"
+                    )
+                previous[cid] = it
+        except csv.Error as exc:  # a field over csv.field_size_limit(), or NUL before 3.11
+            return error(exc)
 
 
 def _columns(path: Path, header: list) -> tuple:
@@ -326,8 +330,8 @@ def _scan_rows(path: Path) -> tuple | None:
                     except (ValueError, OverflowError):
                         return None
                 add_code(code_of(key(row), len(pairs)))
-        except csv.Error as exc:  # a field over csv.field_size_limit(), or NUL before 3.11
-            raise ChainFileError(f"{path}:{reader.line_num}: {exc}") from None
+        except csv.Error:  # a field over csv.field_size_limit(), or NUL before 3.11
+            return None
     return pairs, codes, iters, chain_col, iter_col
 
 

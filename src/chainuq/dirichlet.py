@@ -3,7 +3,8 @@
 ``digamma`` and ``trigamma`` share one kernel, the recurrence shift to x >= 10
 plus the asymptotic series (Bernardo 1976, Algorithm AS 103), on Python
 floats: faster than numpy on the fit's few-element arrays, and no scipy
-import. ``inverse_digamma`` inverts digamma by Newton's method.
+import. ``inverse_digamma`` inverts digamma by Newton's method on Python
+floats too, from a start taken with numpy's exp.
 
 The fitter solves the likelihood equations of Minka (2000), "Estimating a
 Dirichlet distribution",
@@ -88,24 +89,30 @@ def trigamma(x):
 
 
 def _invert_digamma(y: np.ndarray) -> np.ndarray:
-    """Solve digamma(x) = y by Newton's method, to full precision.
+    """Solve digamma(x) = y by Newton's method, to full precision; an array of y's shape.
 
-    Starts from the standard two-branch initializer: exp(y) + 1/2 for
-    y >= -2.22 and -1/(y + euler_gamma) below.
+    Starts from numpy's exp(y) + 1/2 (not ``math.exp``: the bits differ) for
+    y >= -2.22 and -1/(y + euler_gamma) below; the steps run on Python floats
+    and stop together once each is at most 1e-13 of max(1, max |x|).
     """
-    with np.errstate(divide="ignore"):
-        x = np.where(
-            y >= -2.22, np.exp(np.minimum(y, 700.0)) + 0.5, -1.0 / (y + np.euler_gamma)
-        )
+    ys = y.ravel().tolist()
+    starts = (np.exp(np.minimum(y, 700.0)) + 0.5).ravel().tolist()
+    xs = [s if v >= -2.22 else -1.0 / (v + np.euler_gamma) for v, s in zip(ys, starts)]
     for _ in range(40):
-        psi, psi1 = _psi_psi1(x)
-        step = (psi - y) / psi1
-        x_new = x - step
-        # Newton can only overshoot below zero from a poor start; halve instead
-        x = np.where(x_new > 0, x_new, x / 2.0)
-        if np.abs(step).max() <= 1e-13 * max(1.0, np.abs(x).max()):
+        steps, new = [], []
+        for x, v in zip(xs, ys):
+            psi, psi1 = _psi_psi1_float(x)
+            # psi1 is 0 only at x = inf, where (psi - v) / 0 would be psi - v: inf or NaN
+            step = (psi - v) / psi1 if psi1 else psi - v
+            x_new = x - step
+            # Newton can only overshoot below zero from a poor start; halve instead
+            new.append(x_new if x_new > 0 else x / 2.0)
+            steps.append(abs(step))
+        xs = new
+        tol = 1e-13 * max(1.0, max(map(abs, xs), default=0.0))
+        if all(step <= tol for step in steps):  # False on a NaN step
             break
-    return x
+    return np.array(xs).reshape(y.shape)
 
 
 def inverse_digamma(y):
@@ -186,14 +193,15 @@ def fit_dirichlet(samples) -> DirichletFit:
     n_samples, n_components = x.shape
     if n_samples < 2:
         raise DegenerateSamplesError("at least two samples are required")
-    if np.any(x < 0) or not np.all(np.isfinite(x)):
+    lowest, highest = x.min(axis=0), x.max(axis=0)  # a NaN propagates into both
+    if not ((lowest >= 0) & (highest < math.inf)).all():
         raise DegenerateSamplesError("samples must be finite and nonnegative")
-    dead = np.all(x < SAMPLE_CLAMP, axis=0)
+    dead = highest < SAMPLE_CLAMP
     if dead.any():
         raise DegenerateSamplesError(
             f"component(s) {np.flatnonzero(dead).tolist()} are zero in every sample"
         )
-    clamped = bool(np.any(x < SAMPLE_CLAMP))
+    clamped = bool((lowest < SAMPLE_CLAMP).any())
     if clamped:
         x = np.maximum(x, SAMPLE_CLAMP)
     mean_log = np.log(x).mean(axis=0)

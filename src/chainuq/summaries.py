@@ -8,6 +8,7 @@ chain does not generally yield a Markov chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +36,29 @@ def _sample_stats(samples: np.ndarray, lo: float, hi: float) -> dict:
     |x|) before the mean and SD, so neither the sum nor the squares can
     overflow, and a column of values near 1e-170 keeps its SD. The scaling
     is exact: away from overflow and subnormals the results equal the
-    unscaled ones bit for bit.
+    unscaled ones bit for bit. The SD reuses the mean, as numpy's ``std`` does.
+    The quantiles come from one sort of an ``(I, R)`` copy by numpy's
+    ``linear`` rule: at v = (n - 1) q, between order statistics a and b,
+    a + (b - a) g with g = v - floor(v), or b - (b - a)(1 - g) if g >= 0.5.
     """
     stats = dict.fromkeys(("mean", "sd", "median", "lower", "upper"),
                           np.full(samples.shape[1:], np.nan))
-    if len(samples):
+    n = len(samples)
+    if n:
         e = np.frexp(np.abs(samples).max(axis=0))[1]
         scaled = np.ldexp(samples, -e)
-        qs = np.quantile(samples, [lo, 0.5, hi], axis=0, method="linear")
-        stats.update(mean=np.ldexp(scaled.mean(axis=0), e), median=qs[1], lower=qs[0], upper=qs[2])
-        if len(samples) > 1:
-            stats["sd"] = np.ldexp(scaled.std(axis=0, ddof=1), e)
+        mean = scaled.sum(axis=0) / n
+        stats["mean"] = np.ldexp(mean, e)
+        if n > 1:
+            dev = scaled - mean
+            stats["sd"] = np.ldexp(np.sqrt((dev * dev).sum(axis=0) / (n - 1)), e)
+        ordered = samples.T.copy()
+        ordered.sort()
+        ordered[np.isnan(ordered[..., -1])] = np.nan  # a sort puts NaN last
+        for key, q in (("lower", lo), ("median", 0.5), ("upper", hi)):
+            g, below = math.modf((n - 1) * q)
+            a, b = ordered[..., int(below)], ordered[..., min(int(below) + 1, n - 1)]
+            stats[key] = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
     return stats if samples.ndim > 1 else {k: float(v) for k, v in stats.items()}
 
 

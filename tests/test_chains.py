@@ -332,6 +332,24 @@ def test_read_csv_reports_first_failing_row_in_check_order(tmp_path, quote, rows
     assert read_error(path) == f"{path}:{line}: {message}"
 
 
+OVERSIZED = '"' + "x" * (csv.field_size_limit() + 1) + '"'  # csv.reader raises csv.Error on it
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        (["0,", f"1,{OVERSIZED}"], 2, "empty label"),
+        (["0,A", "2,B", f"3,{OVERSIZED}"], 3, "iteration 2 does not follow 0 consecutively in chain ''"),
+        (["0,A", f"1,{OVERSIZED}"], 3, f"field larger than field limit ({csv.field_size_limit()})"),
+    ],
+    ids=["empty-then-oversized", "gap-then-oversized", "oversized-only"],
+)
+def test_read_csv_reports_a_bad_row_before_an_unreadable_one(tmp_path, rows, line, message):
+    path = tmp_path / "chains.csv"
+    path.write_text("\n".join(["iteration,label", *rows]) + "\n", encoding="utf-8")
+    assert read_error(path) == f"{path}:{line}: {message}"
+
+
 def oracle_read_csv(path):
     """Row-by-row reference reader: (labels, indices) per chain, or the error."""
     with open(path, encoding="utf-8-sig", newline="") as fh:

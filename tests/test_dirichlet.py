@@ -1,9 +1,14 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from chainuq import dirichlet as dirichlet_module
 from chainuq.benchmark import MixtureChainSpec, generate_chain
 from chainuq.chains import count_transitions
 from chainuq.dirichlet import MAX_NEWTON_STEPS, digamma, fit_dirichlet, inverse_digamma, trigamma
@@ -160,6 +165,24 @@ def test_fit_rejects_component_that_is_always_zero():
         fit_dirichlet(samples)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (math.nan, "samples must be finite and nonnegative"),
+        (math.inf, "samples must be finite and nonnegative"),
+        (-math.inf, "samples must be finite and nonnegative"),
+        (-1e-300, "samples must be finite and nonnegative"),
+        (0.0, r"component\(s\) \[1\] are zero in every sample"),
+    ],
+    ids=["nan", "inf", "-inf", "negative", "dead"],
+)
+def test_fit_input_checks(bad, message):
+    # column 1 is 1e-301 (below the clamp) except in row 0; a NaN must not hide in a min or max
+    samples = np.array([[0.5, bad, 0.5], [0.5, 1e-301, 0.5], [0.2, 1e-301, 0.8]])
+    with pytest.raises(DegenerateSamplesError, match=message):
+        fit_dirichlet(samples)
+
+
 def test_fit_clamps_occasional_zero_entries():
     rng = np.random.default_rng(21)
     samples = sample_dirichlet(np.array([3.0, 1.0]), 500, rng)
@@ -240,3 +263,70 @@ def test_fit_likelihood_path_never_decreases_on_posterior_draws(pi, iterations, 
         math.lgamma(fit.alpha.sum()) + sum(abs(math.lgamma(a)) for a in fit.alpha)
     )
     assert np.diff(fit.log_likelihood_path).min(initial=0.0) >= -1e-14 * scale
+
+
+def invert_digamma_on_arrays(y):
+    """The array-at-a-time Newton loop that ``_invert_digamma`` replaced: its bit-for-bit reference."""
+    with np.errstate(all="ignore"):
+        x = np.where(
+            y >= -2.22, np.exp(np.minimum(y, 700.0)) + 0.5, -1.0 / (y + np.euler_gamma)
+        )
+        for _ in range(40):
+            psi, psi1 = dirichlet_module._psi_psi1(x)
+            step = (psi - y) / psi1
+            x_new = x - step
+            x = np.where(x_new > 0, x_new, x / 2.0)
+            if np.abs(step).max() <= 1e-13 * max(1.0, np.abs(x).max()):
+                break
+    return x
+
+
+@given(
+    arrays(
+        np.float64,
+        array_shapes(min_dims=1, max_dims=2, max_side=12),
+        # beyond about 709.78 the root exceeds the largest float and both give inf
+        elements=st.floats(-1e300, 1e3) | st.floats(-30.0, 30.0),
+    )
+)
+# y > 709.78 overflows x to inf; a NaN beside it keeps the loop running at x = inf
+@example(np.array([[709.8, 1.0, np.nan], [1e3, -1e300, 0.0]]))
+def test_invert_digamma_matches_array_newton_bit_for_bit(y):
+    x = dirichlet_module._invert_digamma(y)
+    assert x.shape == y.shape
+    assert np.array_equal(x, invert_digamma_on_arrays(y), equal_nan=True)
+
+
+def fit_on_arrays(samples):
+    with mock.patch.object(dirichlet_module, "_invert_digamma", invert_digamma_on_arrays):
+        return fit_dirichlet(samples)
+
+
+def assert_same_fit(fit, reference):
+    assert np.array_equal(fit.alpha, reference.alpha)
+    assert np.array_equal(fit.log_likelihood_path, reference.log_likelihood_path, equal_nan=True)
+    assert (fit.converged, fit.clamped) == (reference.converged, reference.clamped)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.integers(2, 3000),
+    st.sampled_from([0.0, 1e-3, 0.3]),
+)
+def test_fit_matches_array_newton_bit_for_bit(seed, n_models, n_samples, zero_share):
+    rng = np.random.default_rng(seed)
+    samples = sample_dirichlet(rng.uniform(0.05, 20.0, n_models), n_samples, rng)
+    # zeroed entries are clamped; row 0 keeps every component alive
+    samples[1:][rng.random((n_samples - 1, n_models)) < zero_share] = 0.0
+    assert_same_fit(fit_dirichlet(samples), fit_on_arrays(samples))
+
+
+@pytest.mark.parametrize(
+    "pi, beta, iterations",
+    [((0.85, 0.13, 0.02), 0.0, 1000), ((0.85, 0.13, 0.02), 0.8, 100_000), (PI_50, 0.8, 20_000)],
+    ids=["I3-beta0", "I3-beta0.8", "I50-beta0.8"],
+)
+def test_fit_on_posterior_draws_matches_array_newton_bit_for_bit(pi, beta, iterations):
+    samples = _posterior_draws(pi, beta, iterations)
+    assert_same_fit(fit_dirichlet(samples), fit_on_arrays(samples))

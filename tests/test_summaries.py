@@ -11,6 +11,7 @@ from chainuq.chains import count_transitions, index_chain
 from chainuq.errors import ConfigError, LabelError
 from chainuq.sampling import PriorSpec, draw_posterior
 from chainuq.summaries import (
+    _sample_stats,
     bayes_factors,
     rank_stability,
     subset_probability,
@@ -248,3 +249,43 @@ def test_mean_vector_stays_on_simplex(seed, dim):
 def test_bad_settings_raise_config_error(make_draws, call):
     with pytest.raises(ConfigError):
         call(make_draws(np.tile([0.5, 0.5], (5, 1))))
+
+
+def sample_stats_with_numpy(samples, lo, hi):
+    """The np.quantile/mean/std kernel that ``_sample_stats`` replaced: its bit-for-bit reference."""
+    stats = dict.fromkeys(("mean", "sd", "median", "lower", "upper"),
+                          np.full(samples.shape[1:], np.nan))
+    if len(samples):
+        e = np.frexp(np.abs(samples).max(axis=0))[1]
+        scaled = np.ldexp(samples, -e)
+        qs = np.quantile(samples, [lo, 0.5, hi], axis=0, method="linear")
+        stats.update(mean=np.ldexp(scaled.mean(axis=0), e), median=qs[1], lower=qs[0], upper=qs[2])
+        if len(samples) > 1:
+            stats["sd"] = np.ldexp(scaled.std(axis=0, ddof=1), e)
+    return stats if samples.ndim > 1 else {k: float(v) for k, v in stats.items()}
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.integers(0, 3000),
+    st.booleans(),
+    st.sampled_from([1.0, 1e-170, 1e292]),
+    st.sampled_from(["continuous", "repeated", "one NaN"]),
+    st.lists(st.floats(1e-9, 1 - 1e-9), min_size=2, max_size=2, unique=True).map(sorted),
+)
+def test_sample_stats_match_numpy_bit_for_bit(seed, n_models, n_draws, one_d, scale, kind, levels):
+    rng = np.random.default_rng(seed)
+    if kind == "repeated":
+        samples = scale * rng.integers(0, 4, (n_draws, n_models)) / 3
+    else:
+        samples = scale * rng.lognormal(0.0, 3.0, (n_draws, n_models))
+        if kind == "one NaN" and n_draws:
+            samples[rng.integers(n_draws), rng.integers(n_models)] = np.nan
+    if one_d:
+        samples = samples[:, 0]
+    ours, reference = _sample_stats(samples, *levels), sample_stats_with_numpy(samples, *levels)
+    assert ours.keys() == reference.keys()
+    for key in ours:
+        assert type(ours[key]) is type(reference[key])
+        assert np.array_equal(ours[key], reference[key], equal_nan=True), key
