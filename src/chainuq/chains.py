@@ -160,22 +160,17 @@ def merge_counts(parts) -> TransitionCounts:
     parts = list(parts)
     if not parts:
         raise EmptyMergeError("cannot merge an empty list of count matrices")
-    order: dict = {}
-    for part in parts:
-        for lab in part.labels:
-            if lab not in order:
-                order[lab] = len(order)
-    labels = tuple(order)
-    n = len(labels)
+    # the parts' label lists end to end, indexed once: each part's slice maps it into the union
+    union = index_chain(lab for part in parts for lab in part.labels)
+    n = union.n_models
     counts = np.zeros((n, n), dtype=np.int64)
     visits = np.zeros(n, dtype=np.int64)
-    for part in parts:
-        pos = np.fromiter((order[lab] for lab in part.labels), dtype=np.intp)
+    ends = np.cumsum([part.n_models for part in parts])
+    for part, pos in zip(parts, np.split(union.indices, ends[:-1])):
         counts[np.ix_(pos, pos)] += part.counts
         visits[pos] += part.visits
-    return TransitionCounts(
-        counts=counts, labels=labels, visits=visits, n_chains=int(sum(p.n_chains for p in parts))
-    )
+    return TransitionCounts(counts=counts, labels=union.labels, visits=visits,
+                            n_chains=int(sum(p.n_chains for p in parts)))
 
 
 def read_chain_file(path, fmt: str | None = None) -> list[LabeledChain]:

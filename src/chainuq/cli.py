@@ -105,7 +105,7 @@ def _parse_subset(text: str, position: int) -> tuple:
         name, labels = text.split("=", 1)
     else:
         name, labels = f"subset_{position}", text
-    members = [part.strip() for part in labels.split(",") if part.strip()]
+    members = _parse_labels(labels)
     if not members:
         raise ConfigError(f"subset {text!r} names no models")
     return name.strip(), members
@@ -228,14 +228,16 @@ def analyze_chains(
     subsets=(),
     bf_pairs=(),
     declared=(),
-    epsilon_text: str = "default_reduced",
+    epsilon_text: str | None = None,
     inputs=(),
     input_format=None,
 ) -> dict:
     """Run the full pipeline on indexed chains and assemble the report dict.
 
     This is the CLI's engine, exposed so library users can produce the same
-    report without touching the filesystem.
+    report without touching the filesystem. ``epsilon_text`` is the report's
+    ``epsilon_policy``; when omitted it is named from ``prior``:
+    ``default_reduced``, ``fixed:<epsilon>`` or ``matrix``.
 
     Raises
     ------
@@ -325,6 +327,10 @@ def analyze_chains(
             "never_sampled": True,
         })
     model_rows.sort(key=lambda row: row["label"])
+    if epsilon_text is None:
+        epsilon_text = "matrix" if prior.epsilon_matrix is not None else (
+            "default_reduced" if prior.epsilon is None else f"fixed:{prior.epsilon!r}"
+        )
 
     report = {
         "tool": "chainuq",
@@ -407,10 +413,8 @@ def render_text(report: dict) -> str:
     lines.append(header)
     for row in report["models"]:
         tag = "  (never sampled)" if row["never_sampled"] else ""
-        sd = row["sd"]
-        sd_txt = f"{sd:>12.6g}" if sd is not None else f"{'n/a':>12}"
         lines.append(
-            f"{row['label']:<16}{row['mean']:>12.6g}{sd_txt}{row['median']:>12.6g}"
+            f"{row['label']:<16}{row['mean']:>12.6g}{row['sd']:>12.6g}{row['median']:>12.6g}"
             f"{row['ci_lower']:>12.6g}{row['ci_upper']:>12.6g}{tag}"
         )
     lines.append("")
@@ -471,9 +475,8 @@ def render_csv(report: dict) -> str:
     # the writer quotes labels that hold a comma, quote or line break
     writer = csv.writer(out, lineterminator="\n")
     for row in report["models"]:
-        sd = "" if row["sd"] is None else repr(row["sd"])
         writer.writerow([
-            row["label"], repr(row["mean"]), sd, repr(row["median"]),
+            row["label"], repr(row["mean"]), repr(row["sd"]), repr(row["median"]),
             repr(row["ci_lower"]), repr(row["ci_upper"]), repr(row["point_estimate"]),
             row["visits"], row["never_sampled"],
         ])
@@ -550,13 +553,9 @@ def _run_bench(args) -> int:
         levels=_parse_floats(args.ci, "--ci"),
         progress=lambda msg: print(msg, file=sys.stderr),
     )
-    csv_path = f"{args.out}.csv"
-    json_path = f"{args.out}.json"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(result.to_csv())
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(result.to_json())
-    print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
+    _write_output(result.to_csv(), f"{args.out}.csv")
+    _write_output(result.to_json(), f"{args.out}.json")
+    print(f"wrote {args.out}.csv and {args.out}.json", file=sys.stderr)
     return 0
 
 

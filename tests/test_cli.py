@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 
 import chainuq
-from chainuq import _pool, errors
-from chainuq.cli import WARNINGS, analyze_chains, main
+from chainuq import _pool, dirichlet, errors
+from chainuq.cli import STATS, WARNINGS, analyze_chains, main
 from chainuq.errors import ConfigError
+
+TWO_MODELS = "A\nA\nB\nA\nB\nB\nA\nA\nB\nA\n" * 5
 
 
 @pytest.fixture
 def chain_file(tmp_path):
     path = tmp_path / "chain.txt"
-    path.write_text("A\nA\nB\nA\nB\nB\nA\nA\nB\nA\n" * 5, encoding="utf-8")
+    path.write_text(TWO_MODELS, encoding="utf-8")
     return path
 
 
@@ -142,9 +144,24 @@ def test_malformed_input_exits_1_with_line(tmp_path, capsys, name, data, where):
     assert capsys.readouterr().err.startswith(f"chainuq: input error: {path}{where}")
 
 
-def test_bad_flag_exits_3_before_reading(capsys):
-    assert main(["analyze", "--input", "/nonexistent.csv", "--declared", "Z,Z"]) == 3
-    assert "more than once" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        (["--declared", "Z,Z"], "more than once"),
+        (["--epsilon", "fixed:abc"], "cannot parse epsilon value in 'fixed:abc'"),
+        (["--epsilon", "matrix:/nonexistent/eps.csv"],
+         "cannot read epsilon matrix from '/nonexistent/eps.csv'"),
+        (["--subset", "s="], "subset 's=' names no models"),
+        (["--bf", "A"], "--bf expects 'numerator,denominator', got 'A'"),
+        (["--ci", "0.1,x"], "cannot parse --ci value '0.1,x'"),
+    ],
+    ids=["declared-repeat", "epsilon-fixed-value", "epsilon-matrix-path", "subset-no-models",
+         "bf-one-label", "ci-value"],
+)
+def test_bad_flag_exits_3_before_reading(capsys, flag, message):
+    assert main(["analyze", "--input", "/nonexistent.csv"] + flag) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("chainuq: config error: ") and message in err
 
 
 def test_bad_epsilon_exits_3(chain_file, capsys):
@@ -175,6 +192,21 @@ def test_analyze_chains_rejects_single_draw():
     chain = chainuq.index_chain(["A", "B", "A", "B", "B"])
     with pytest.raises(ConfigError, match="n_draws must be at least 2"):
         analyze_chains([chain], prior=chainuq.PriorSpec.default(), n_draws=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "prior, policy",
+    [
+        (chainuq.PriorSpec.default(), "default_reduced"),
+        (chainuq.PriorSpec.fixed(0.5), "fixed:0.5"),
+        (chainuq.PriorSpec.from_matrix(np.full((2, 2), 0.5)), "matrix"),
+    ],
+    ids=["default", "fixed", "matrix"],
+)
+def test_analyze_chains_names_the_epsilon_policy_of_its_prior(prior, policy):
+    chain = chainuq.index_chain(["A", "B", "A", "B", "B"])
+    config = analyze_chains([chain], prior=prior, n_draws=50, seed=0)["config"]
+    assert (config["epsilon_policy"], config["epsilon_total_mass"]) == (policy, 2.0)
 
 
 def _analyze_one_model_chain(**settings):
@@ -283,21 +315,42 @@ def test_readme_lists_every_warning_code():
     assert [code for code in WARNINGS if f"- `{code}`:" not in section] == []
 
 
-def test_warning_messages_fill_their_templates(chain_file, capsys):
-    report = run_json(capsys, ["analyze", "--input", str(chain_file), "--seed", "1",
-                               "--draws", "50", "--top-k", "5", "--declared", "A,Z"])
-    assert report["warnings"] == [
-        {"code": "k_top_reduced", "message": "top-k reduced from 5 to the 2 observed models"},
-        {
-            "code": "ess_exceeds_iterations",
-            "message": "t_eff = 85.0522 exceeds 1.5x the 50 chain iterations; "
-                       "reported as estimated, never truncated",
-        },
-        {
-            "code": "never_sampled_model",
-            "message": "declared model 'Z' was never sampled; reported with probability 0",
-        },
-    ]
+@pytest.mark.parametrize(
+    "chain, flags, steps, expected",
+    [
+        (
+            TWO_MODELS,
+            ["--draws", "50", "--top-k", "5", "--declared", "A,Z"],
+            dirichlet.MAX_NEWTON_STEPS,
+            [
+                {"code": "k_top_reduced", "message": "top-k reduced from 5 to the 2 observed models"},
+                {
+                    "code": "ess_exceeds_iterations",
+                    "message": "t_eff = 85.0522 exceeds 1.5x the 50 chain iterations; "
+                               "reported as estimated, never truncated",
+                },
+                {
+                    "code": "never_sampled_model",
+                    "message": "declared model 'Z' was never sampled; reported with probability 0",
+                },
+            ],
+        ),
+        # the prior's 4 x 50 weight exceeds the fitted shape total
+        ("B\n" + "A\n" * 20, ["--draws", "200", "--epsilon", "fixed:50"], dirichlet.MAX_NEWTON_STEPS,
+         [{"code": "negative_ess", "message": WARNINGS["negative_ess"]}]),
+        # one Newton step on the shape total does not meet the stopping rule
+        ("B\n" + "A\n" * 20, ["--draws", "200"], 1,
+         [{"code": "dirichlet_fit_not_converged", "message": WARNINGS["dirichlet_fit_not_converged"]}]),
+    ],
+    ids=["top-k-and-declared", "negative-ess", "fit-not-converged"],
+)
+def test_warning_messages_fill_their_templates(tmp_path, capsys, monkeypatch, chain, flags, steps,
+                                               expected):
+    monkeypatch.setattr(dirichlet, "MAX_NEWTON_STEPS", steps)
+    path = tmp_path / "chain.txt"
+    path.write_text(chain, encoding="utf-8")
+    report = run_json(capsys, ["analyze", "--input", str(path), "--seed", "1"] + flags)
+    assert report["warnings"] == expected
 
 
 def test_point_estimate_column_is_the_posterior_mean(chain_file):
@@ -379,15 +432,59 @@ def test_top_k_clamped_with_warning(chain_file, capsys):
     assert any(w["code"] == "k_top_reduced" for w in report["warnings"])
 
 
-def test_text_and_json_numbers_agree(chain_file, capsys):
-    report = run_json(capsys, ["analyze", "--input", str(chain_file), "--seed", "8", "--draws", "250"])
-    code = main(["analyze", "--input", str(chain_file), "--seed", "8", "--draws", "250"])
-    text = capsys.readouterr().out
-    assert code == 0
+@pytest.mark.parametrize(
+    "chain, flags",
+    [
+        (TWO_MODELS, []),
+        (TWO_MODELS, ["--top-k", "2"]),
+        (TWO_MODELS, ["--bf", "A,B", "--bf", "B,A"]),
+        (TWO_MODELS, ["--subset", "s=A,B", "--subset", "B"]),
+        ("M\nM\nM\nM\n", []),
+    ],
+    ids=["two-models", "top-k", "bf", "subset", "single-model"],
+)
+def test_text_and_json_numbers_agree(tmp_path, capsys, chain, flags):
+    path = tmp_path / "chain.txt"
+    path.write_text(chain, encoding="utf-8")
+    args = ["analyze", "--input", str(path), "--seed", "8", "--draws", "250"] + flags
+    report = run_json(capsys, args)
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    def line(start):
+        (found,) = [text for text in lines if text.startswith(start)]
+        return found[len(start):]
+
+    def g(value):
+        return f"{value:.6g}"
+
+    def summary(row):  # a Bayes-factor or subset line
+        return f"mean {g(row['mean'])} sd {g(row['sd'])} ci [{g(row['ci_lower'])}, {g(row['ci_upper'])}]"
+
     for row in report["models"]:
-        assert f"{row['mean']:.6g}" in text
-        assert f"{row['sd']:.6g}" in text
-    assert f"{report['ess']['t_eff']:.6g}" in text
+        assert line(f"{row['label']:<16}").split() == [g(row[key]) for key in STATS]
+    ess = report["ess"]
+    assert line("effective sample size: ") == (
+        "undefined (see warnings)" if ess["t_eff"] is None
+        else f"t_eff {g(ess['t_eff'])} of {ess['t_raw']} iterations (ratio {g(ess['ratio'])})"
+    )
+    if "--top-k" in flags:
+        rs = report["rank_stability"]
+        assert line("rank stability: ") == (
+            f"top-{rs['k_top']} ordering reproduced in {g(100 * rs['p_top_order_reproduced'])}% of draws"
+        )
+        for row in report["models"]:
+            rk = row["rank"]
+            assert line(f"  {row['label']} ").split() == [
+                "rank", str(rk["point_rank"]), "mean", g(rk["mean_rank"]),
+                "P(rank=point)", g(rk["p_rank_equals_point"]), "P(rank<=k)", g(rk["p_rank_within_top"]),
+            ]
+    for bf in report.get("bayes_factors", []):
+        assert line(f"bayes factor {bf['numerator']}/{bf['denominator']}: ") == summary(bf)
+    for sub in report.get("subsets", []):
+        assert line(f"subset {sub['name']} ({','.join(sub['labels'])}): ") == summary(sub)
+    sections = ("rank_stability" in report, "bayes_factors" in report, "subsets" in report)
+    assert sections == ("--top-k" in flags, "--bf" in flags, "--subset" in flags)
 
 
 def test_output_file_and_csv_format(chain_file, tmp_path, capsys):
