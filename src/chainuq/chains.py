@@ -186,6 +186,12 @@ def read_chain_file(path, fmt: str | None = None) -> list[LabeledChain]:
     ``csv.field_size_limit()``) raises `ChainFileError` naming the file and
     the physical line.
 
+    A plain CSV is tokenized as bytes: UTF-8, no ``"`` or NUL byte, LF or CRLF
+    line ends, no line over the field limit, no short row, iterations of an
+    optional ``-`` and 1-18 digits. Any other CSV is parsed once by
+    ``csv.reader``, at about 5x the cost per row; one that turns non-plain
+    only near its end is tokenized first.
+
     Parameters
     ----------
     path : str or Path
@@ -215,16 +221,15 @@ def _read_lines(path: Path) -> LabeledChain:
 
 
 def _read_csv(path: Path) -> list[LabeledChain]:
-    # One pass keeps two integers per row: the code of its distinct (chain_id,
-    # raw label) pair and its iteration, or gives None at a row it cannot take.
-    # Labels are then stripped and indexed once per pair, and the row checks run
-    # as yes/no array operations; _first_error reads a failing file again.
-    scan = _scan_plain(path) or _scan_rows(path)
-    if scan is None:
-        raise _first_error(path)
+    # A plain file is tokenized into two integers per row: the code of its
+    # distinct (chain_id, raw label) pair and its iteration. Labels are then
+    # stripped and indexed once per pair, and the row checks run as yes/no
+    # array operations. Every other file, and a plain one with no rows or a
+    # failing row, is read by _read_rows, which names that row.
+    scan = _scan_plain(path)
+    if scan is None or not scan[1]:
+        return _read_rows(path)
     pairs, codes, iters, chain_col, iter_col = scan
-    if not codes:
-        raise EmptyChainError(f"{path}: no rows found")
 
     # per pair: its chain and its stripped label's index in that chain, both
     # by first appearance, and whether the stripped label is empty
@@ -237,7 +242,7 @@ def _read_csv(path: Path) -> list[LabeledChain]:
         per_pair.append((c, order.setdefault(label, len(order)), not label))
     pair_chain, pair_local, pair_empty = np.array(per_pair, dtype=np.intp).reshape(-1, 3).T
     if pair_empty.any():
-        raise _first_error(path)
+        return _read_rows(path)
     codes = np.frombuffer(codes, dtype=np.int64)
     by_chain = np.argsort(pair_chain[codes], kind="stable")
     sorted_codes = codes[by_chain]
@@ -247,7 +252,7 @@ def _read_csv(path: Path) -> list[LabeledChain]:
         # np.diff wraps around, so the smallest int64 would seem to follow the largest
         step = (np.diff(it) != 1) | (it[:-1] == np.iinfo(np.int64).max)
         if (step & (np.diff(sorted_chain) == 0)).any():
-            raise _first_error(path)
+            return _read_rows(path)
 
     local = pair_local[sorted_codes]
     ends = np.cumsum(np.bincount(sorted_chain, minlength=len(chains)))
@@ -257,12 +262,13 @@ def _read_csv(path: Path) -> list[LabeledChain]:
     ]
 
 
-def _first_error(path: Path) -> ChainFileError:
-    """The error for the first data row, in file order, that a check rejects, at its last line.
+def _read_rows(path: Path) -> list[LabeledChain]:
+    """Any CSV, one ``csv.reader`` row at a time, checked; the first failing row raises.
 
     A row's checks, in order: ``csv.reader`` can read it, as many fields as the header,
     a label not empty once stripped, an integer iteration that fits in 64 bits and is
-    one past its chain's last.
+    one past its chain's last. Each distinct (chain_id, raw label) pair is stripped,
+    checked and indexed at its first row.
     """
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -271,30 +277,48 @@ def _first_error(path: Path) -> ChainFileError:
             return ChainFileError(f"{path}:{reader.line_num}: {problem}")
 
         try:
-            header = next(reader)
+            header = next(reader, [])
             label_col, iter_col, chain_col = _columns(path, header)
-            previous = {}  # raw chain_id -> iteration of its last row
-            for row in filter(None, reader):
+            key = itemgetter(label_col) if chain_col is None else itemgetter(chain_col, label_col)
+            chains = {}  # raw chain_id -> ({stripped label: index}, indices, [last iteration])
+            seen = {}  # (raw chain_id, raw label) -> (its chain's [last iteration], append, index)
+            for row in reader:
                 if len(row) < len(header):
-                    return error(f"row has {len(row)} fields, header has {len(header)}")
-                if not row[label_col].strip():
-                    return error("empty label")
-                if iter_col is None:
-                    continue
-                try:
-                    it = int(row[iter_col])
-                except ValueError:
-                    return error("iteration is not an integer")
-                if not -(1 << 63) <= it < 1 << 63:
-                    return error(f"iteration {row[iter_col].strip()} does not fit in 64 bits")
-                cid = "" if chain_col is None else row[chain_col]
-                if cid in previous and it != previous[cid] + 1:
-                    return error(
-                        f"iteration {it} does not follow {previous[cid]} consecutively in chain {cid!r}"
-                    )
-                previous[cid] = it
+                    if row:
+                        raise error(f"row has {len(row)} fields, header has {len(header)}")
+                    continue  # blank line
+                pair = key(row)
+                hit = seen.get(pair)
+                if hit is None:
+                    cid, label = ("", pair) if chain_col is None else pair
+                    label = label.strip()
+                    if not label:
+                        raise error("empty label")
+                    order, indices, last = chains.setdefault(cid, ({}, array("q"), [None]))
+                    hit = seen[pair] = last, indices.append, order.setdefault(label, len(order))
+                last, add, index = hit
+                if iter_col is not None:
+                    try:
+                        it = int(row[iter_col])
+                    except ValueError:
+                        raise error("iteration is not an integer") from None
+                    if not -(1 << 63) <= it < 1 << 63:
+                        raise error(f"iteration {row[iter_col].strip()} does not fit in 64 bits")
+                    if last[0] is not None and it != last[0] + 1:
+                        cid = "" if chain_col is None else pair[0]
+                        raise error(
+                            f"iteration {it} does not follow {last[0]} consecutively in chain {cid!r}"
+                        )
+                    last[0] = it
+                add(index)
         except csv.Error as exc:  # a field over csv.field_size_limit(), or NUL before 3.11
-            return error(exc)
+            raise error(exc) from None
+    if not chains:
+        raise EmptyChainError(f"{path}: no rows found")
+    return [
+        LabeledChain(labels=tuple(order), indices=np.frombuffer(indices, dtype=np.int64))
+        for order, indices, _ in chains.values()
+    ]
 
 
 def _columns(path: Path, header: list) -> tuple:
@@ -304,42 +328,15 @@ def _columns(path: Path, header: list) -> tuple:
     return column["label"], column.get("iteration"), column.get("chain_id")
 
 
-def _scan_rows(path: Path) -> tuple | None:
-    """The pass over any CSV, one ``csv.reader`` row at a time; None at a row it cannot take."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            label_col, iter_col, chain_col = _columns(path, header)
-            key = itemgetter(label_col) if chain_col is None else itemgetter(chain_col, label_col)
-            pairs, codes, iters = {}, array("q"), array("q")
-            add_code, add_iter, code_of = codes.append, iters.append, pairs.setdefault
-            for row in reader:
-                if len(row) < len(header):
-                    if row:
-                        return None
-                    continue  # blank line
-                if iter_col is not None:
-                    try:
-                        add_iter(int(row[iter_col]))
-                    except (ValueError, OverflowError):
-                        return None
-                add_code(code_of(key(row), len(pairs)))
-        except csv.Error:  # a field over csv.field_size_limit(), or NUL before 3.11
-            return None
-    return pairs, codes, iters, chain_col, iter_col
-
-
 def _scan_plain(path: Path) -> tuple | None:
-    """`_scan_rows` as array operations on the bytes of a plain file; None for others.
+    """A plain file's (chain_id, label) pairs, row codes and iterations, from array operations.
 
-    Plain: UTF-8, no quote or NUL byte, LF or CRLF line ends, no line over
-    ``csv.field_size_limit()``, no short row, iterations of an optional ``-``
-    and 1-18 digits. Each block of whole lines is split by one pass over its
-    delimiters (commas and LFs): a line's LF and its first delimiter are
-    positions in that one array, so its comma count and the bounds of its
-    k-th field are differences and lookups there. Only rows whose (chain_id,
-    label) bytes differ from the row before's are decoded and looked up.
+    None for a file that is not plain, as `read_chain_file` defines it. Each
+    block of whole lines is split by one pass over its delimiters (commas and
+    LFs): a line's LF and its first delimiter are positions in that one array,
+    so its comma count and the bounds of its k-th field are differences and
+    lookups there. Only rows whose (chain_id, label) bytes differ from the row
+    before's are decoded and looked up.
     """
     limit, header = csv.field_size_limit(), None
     pairs, codes, iters = {}, array("q"), array("q")

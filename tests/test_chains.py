@@ -409,7 +409,7 @@ def csv_files(draw, plain=False):
 
     ``plain`` files hold no quote, LF or CRLF line ends, unpadded iterations
     and multi-byte or Unicode-space-padded labels; the others go through
-    ``csv.writer`` and may quote.
+    ``csv.writer``, which quotes where a field needs it or everywhere.
     """
     columns = ["label"] + [
         name for name in ("chain_id", "iteration", "extra") if draw(st.booleans())
@@ -426,7 +426,8 @@ def csv_files(draw, plain=False):
     next_iter = {cid: draw(st.integers(-2, 3)) for cid in ids}
     eol = draw(st.sampled_from(["\n", "\r\n"])) if plain else "\n"
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator=eol)
+    quoting = csv.QUOTE_MINIMAL if plain else draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    writer = csv.writer(out, lineterminator=eol, quoting=quoting)
     write = (lambda row: out.write(",".join(row) + eol)) if plain else writer.writerow
     out.write(draw(st.sampled_from(["", "\ufeff"])))
     write(header)
@@ -537,6 +538,84 @@ def test_read_plain_csv_last_line_without_newline(tmp_path, monkeypatch):
     expected = oracle_read_csv(path)
     forbid_csv_reader(monkeypatch)
     assert read_as_lists(path) == expected
+
+
+def count_csv_readers(monkeypatch):
+    made = []
+    reader = chains_module.csv.reader
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(chains_module.csv, "reader", counting)
+    return made
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '"iteration","label"\n"0","A"\n"1","B"\n"3","A"\n',
+        "iteration,label\n0,A\n1,B\n3,A\n",
+        '"iteration","label"\n"0","A"\n"1","B"\n"2","A"\n',
+    ],
+    ids=["quoted-gap-on-last-row", "plain-gap-on-last-row", "quoted"],
+)
+def test_read_csv_constructs_one_csv_reader(tmp_path, monkeypatch, text):
+    path = tmp_path / "chain.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = outcome(oracle_read_csv, path)
+    made = count_csv_readers(monkeypatch)
+    assert outcome(read_as_lists, path) == expected
+    assert len(made) == 1
+
+
+def r_style_rows(chain_ids):
+    """(chain_id, iteration, label) rows; with chain_ids, chains a and b interleave."""
+    cids = ["a", "b", "a", "a", "b", "b"] if chain_ids else [""] * 6
+    labels = ["A", "model B", "model B", "A", "C", "A"]
+    rows, next_iter = [], {}
+    for cid, label in zip(cids, labels):
+        next_iter[cid] = next_iter.get(cid, 0) + 1
+        rows.append((cid, next_iter[cid], label))
+    return rows
+
+
+def rows_csv(rows, chain_ids, r_style):
+    names = ["chain_id"] * chain_ids + ["iteration", "label"]
+    if not r_style:
+        lines = [names] + [[cid] * chain_ids + [str(it), label] for cid, it, label in rows]
+        return "".join(",".join(line) + "\n" for line in lines)
+    # R's write.csv defaults: a row-names column named "", strings quoted, numbers bare
+    lines = [",".join(f'"{name}"' for name in ["", *names])] + [
+        ",".join([f'"{k}"'] + [f'"{cid}"'] * chain_ids + [str(it), f'"{label}"'])
+        for k, (cid, it, label) in enumerate(rows, 1)
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("chain_ids", [False, True], ids=["one-chain", "chain_id"])
+def test_read_csv_r_write_csv_layout_matches_plain(tmp_path, chain_ids):
+    rows = r_style_rows(chain_ids)
+    plain, r_style = tmp_path / "plain.csv", tmp_path / "r.csv"
+    plain.write_text(rows_csv(rows, chain_ids, r_style=False), encoding="utf-8")
+    r_style.write_text(rows_csv(rows, chain_ids, r_style=True), encoding="utf-8")
+    assert chains_module._scan_plain(plain) is not None
+    assert chains_module._scan_plain(r_style) is None
+    assert read_as_lists(r_style) == read_as_lists(plain)
+    assert read_as_lists(r_style)[0][0][:2] == ("A", "model B")  # the inner space kept
+
+
+@pytest.mark.parametrize("chain_ids", [False, True], ids=["one-chain", "chain_id"])
+def test_read_csv_r_write_csv_layout_gap_names_its_line(tmp_path, chain_ids):
+    rows = r_style_rows(chain_ids)
+    cid, it, label = rows[3]  # on line 5, after the header
+    rows[3] = cid, it + 1, label
+    path = tmp_path / "r.csv"
+    path.write_text(rows_csv(rows, chain_ids, r_style=True), encoding="utf-8")
+    assert read_error(path) == (
+        f"{path}:5: iteration {it + 1} does not follow {it - 1} consecutively in chain {cid!r}"
+    )
 
 
 def test_read_csv_lone_carriage_return_falls_back(tmp_path):
