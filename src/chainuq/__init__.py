@@ -18,14 +18,13 @@ from .chains import (
     merge_counts,
     read_chain_file,
 )
-from .dirichlet import DirichletFit, digamma, fit_dirichlet, inverse_digamma, trigamma
+from .dirichlet import DirichletFit, fit_dirichlet
 from .errors import (
     ChainFileError,
     ChainUQError,
     ConfigError,
     DegenerateRowError,
     DegenerateSamplesError,
-    DomainError,
     EmptyChainError,
     EmptyMergeError,
     InsufficientTransitionsError,
@@ -44,7 +43,6 @@ from .sampling import (
     PosteriorDraws,
     PriorSpec,
     draw_posterior,
-    sample_dirichlet,
     sample_transition_matrix,
 )
 from .stationary import CommunicatingClasses, classify_support, stationary
@@ -70,7 +68,6 @@ __all__ = [
     "DegenerateRowError",
     "DegenerateSamplesError",
     "DirichletFit",
-    "DomainError",
     "EmptyChainError",
     "EmptyMergeError",
     "EssEstimate",
@@ -90,22 +87,18 @@ __all__ = [
     "bayes_factors",
     "classify_support",
     "count_transitions",
-    "digamma",
     "draw_posterior",
     "effective_sample_size",
     "fit_dirichlet",
     "generate_chain",
     "iid_posterior",
     "index_chain",
-    "inverse_digamma",
     "merge_counts",
     "rank_stability",
     "read_chain_file",
     "run_coverage_experiment",
-    "sample_dirichlet",
     "sample_transition_matrix",
     "stationary",
     "subset_probability",
     "summarize",
-    "trigamma",
 ]

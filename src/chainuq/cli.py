@@ -440,15 +440,14 @@ def render_text(report: dict) -> str:
                     f"mean {rk['mean_rank']:.6g}   P(rank=point) {rk['p_rank_equals_point']:.6g}   "
                     f"P(rank<=k) {rk['p_rank_within_top']:.6g}"
                 )
+    # a pair with no finite ratio has its denominator below 1e-308 in every draw,
+    # which fails the ESS fit before the report is built
     for bf in report.get("bayes_factors", []):
-        mean = "n/a" if bf["mean"] is None else f"{bf['mean']:.6g}"
-        sd = "n/a" if bf["sd"] is None else f"{bf['sd']:.6g}"
+        sd = "n/a" if bf["sd"] is None else f"{bf['sd']:.6g}"  # one finite ratio has no SD
         flag = "  [unstable]" if bf["unstable"] else ""
         lines.append(
-            f"bayes factor {bf['numerator']}/{bf['denominator']}: mean {mean} "
+            f"bayes factor {bf['numerator']}/{bf['denominator']}: mean {bf['mean']:.6g} "
             f"sd {sd} ci [{bf['ci_lower']:.6g}, {bf['ci_upper']:.6g}]{flag}"
-            if bf["ci_lower"] is not None
-            else f"bayes factor {bf['numerator']}/{bf['denominator']}: undefined{flag}"
         )
     for sub_row in report.get("subsets", []):
         lines.append(

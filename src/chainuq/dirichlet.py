@@ -1,10 +1,10 @@
-"""Digamma-family special functions and Dirichlet maximum-likelihood fitting.
+"""Dirichlet maximum-likelihood fitting.
 
-``digamma`` and ``trigamma`` share one kernel, the recurrence shift to x >= 10
-plus the asymptotic series (Bernardo 1976, Algorithm AS 103), on Python
-floats: faster than numpy on the fit's few-element arrays, and no scipy
-import. ``inverse_digamma`` inverts digamma by Newton's method on Python
-floats too, from a start taken with numpy's exp.
+The fit's digamma and trigamma share one kernel, the recurrence shift to
+x >= 10 plus the asymptotic series (Bernardo 1976, Algorithm AS 103), on
+Python floats: faster than numpy on the fit's few-element arrays, and no
+scipy import. Digamma is inverted by Newton's method on Python floats too,
+from a start taken with numpy's exp.
 
 The fitter solves the likelihood equations of Minka (2000), "Estimating a
 Dirichlet distribution",
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSamplesError, DomainError
+from .errors import DegenerateSamplesError
 
 SAMPLE_CLAMP = 1e-300  # floor applied to sample entries before taking logs
 MAX_NEWTON_STEPS = 50  # bound on the fit's Newton solve; converging fits take 2 to 7 steps
@@ -62,32 +62,6 @@ def _psi_psi1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return both[:, 0].reshape(x.shape), both[:, 1].reshape(x.shape)
 
 
-def _elementwise(f, x, name):
-    """Apply ``f`` to x > 0: a Python scalar gives a float, anything else an array."""
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(~np.isfinite(x)) or np.any(x <= 0):
-        raise DomainError(f"{name} requires strictly positive finite arguments")
-    value = f(x)
-    return float(value[0]) if scalar else value
-
-
-def digamma(x):
-    """Digamma function for x > 0, scalar or array.
-
-    Raises
-    ------
-    DomainError
-        For any argument <= 0 (or non-finite).
-    """
-    return _elementwise(lambda v: _psi_psi1(v)[0], x, "digamma")
-
-
-def trigamma(x):
-    """First derivative of digamma for x > 0, scalar or array."""
-    return _elementwise(lambda v: _psi_psi1(v)[1], x, "trigamma")
-
-
 def _invert_digamma(y: np.ndarray) -> np.ndarray:
     """Solve digamma(x) = y by Newton's method, to full precision; an array of y's shape.
 
@@ -115,16 +89,6 @@ def _invert_digamma(y: np.ndarray) -> np.ndarray:
     return np.array(xs).reshape(y.shape)
 
 
-def inverse_digamma(y):
-    """Inverse of digamma on (0, inf), scalar or array.
-
-    Round-trip accuracy is well under 1e-10.
-    """
-    scalar = np.isscalar(y)
-    x = _invert_digamma(np.atleast_1d(np.asarray(y, dtype=float)))
-    return float(x[0]) if scalar else x
-
-
 @dataclass(frozen=True, eq=False)
 class DirichletFit:
     """Result of a maximum-likelihood Dirichlet fit.
@@ -145,8 +109,7 @@ class DirichletFit:
         before taking logs; the fit is then approximate.
 
     Derived, read-only: ``iterations``, the Newton steps on the shape total,
-    is ``len(log_likelihood_path)``; ``log_likelihood``, at the returned
-    estimate, is ``log_likelihood_path[-1]`` (NaN when no step was taken).
+    is ``len(log_likelihood_path)``.
     """
 
     alpha: np.ndarray
@@ -157,10 +120,6 @@ class DirichletFit:
     @property
     def iterations(self) -> int:
         return len(self.log_likelihood_path)
-
-    @property
-    def log_likelihood(self) -> float:
-        return float(self.log_likelihood_path[-1]) if self.iterations else math.nan
 
 
 def _log_likelihood(alpha, mean_log, n_samples):
@@ -190,17 +149,20 @@ def fit_dirichlet(samples) -> DirichletFit:
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise DegenerateSamplesError(f"expected a 2-d sample array, got shape {x.shape}")
+    return _fit(x, range(x.shape[1]))
+
+
+def _fit(x: np.ndarray, names) -> DirichletFit:
+    """`fit_dirichlet` of a 2-d float array; ``names[i]`` names component i in errors."""
     n_samples, n_components = x.shape
     if n_samples < 2:
         raise DegenerateSamplesError("at least two samples are required")
     lowest, highest = x.min(axis=0), x.max(axis=0)  # a NaN propagates into both
     if not ((lowest >= 0) & (highest < math.inf)).all():
         raise DegenerateSamplesError("samples must be finite and nonnegative")
-    dead = highest < SAMPLE_CLAMP
-    if dead.any():
-        raise DegenerateSamplesError(
-            f"component(s) {np.flatnonzero(dead).tolist()} are zero in every sample"
-        )
+    dead = [names[i] for i in np.flatnonzero(highest < SAMPLE_CLAMP).tolist()]
+    if dead:
+        raise DegenerateSamplesError(f"component(s) {dead} are zero in every sample")
     clamped = bool((lowest < SAMPLE_CLAMP).any())
     if clamped:
         x = np.maximum(x, SAMPLE_CLAMP)

@@ -4,10 +4,10 @@ Each class carries the CLI's exit code and stderr label, so this module alone
 decides which failure exits how: ``1`` input error (an empty or too short
 chain, an empty merge, an unparsable chain file; the CLI adds ``OSError``),
 ``2`` numerical failure (a degenerate row, a non-stochastic matrix, no unique
-stationary vector, a domain error, unusable samples), ``3`` config error (a
-bad setting, an unknown or repeated label). The base class's ``2``, ``error``
-is the fallback for a class that sets neither. The two config classes are
-also ``ValueError``s, as a bad argument is.
+stationary vector, unusable samples), ``3`` config error (a bad setting, an
+unknown or repeated label). The base class's ``2``, ``error`` is the fallback
+for a class that sets neither. The two config classes are also
+``ValueError``s, as a bad argument is.
 """
 
 
@@ -55,11 +55,6 @@ class NonStochasticError(ChainUQError):
 
 class NoUniqueStationaryError(ChainUQError):
     """The stationary distribution is not unique (or could not be resolved)."""
-    exit_code, kind = 2, "numerical failure"
-
-
-class DomainError(ChainUQError):
-    """An argument is outside a special function's domain."""
     exit_code, kind = 2, "numerical failure"
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import DirichletFit, fit_dirichlet
+from .dirichlet import DirichletFit, _fit
 from .errors import ConfigError, EmptyChainError
 from .sampling import PosteriorDraws
 
@@ -37,8 +37,7 @@ class IidPosterior:
     """Dirichlet posterior for the occupancy probabilities under i.i.d. sampling.
 
     Parameters are the raw visit counts (improper Dirichlet(0,...,0) prior);
-    models never visited carry a degenerate point mass at zero and are
-    reported in ``degenerate``.
+    models never visited carry a degenerate point mass at zero.
     """
 
     concentrations: np.ndarray
@@ -46,13 +45,6 @@ class IidPosterior:
     @property
     def total(self) -> float:
         return float(self.concentrations.sum())
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        return self.concentrations == 0
-
-    def mean(self) -> np.ndarray:
-        return self.concentrations / self.total
 
     def sd(self) -> np.ndarray:
         n = self.concentrations
@@ -164,7 +156,7 @@ def effective_sample_size(draws: PosteriorDraws) -> EssEstimate:
         # a single observed model pins every draw to (1.0); the dispersion
         # match is undefined
         return EssEstimate(t_eff=float("nan"), prior_weight=prior_weight, t_raw=t_raw, fit=None)
-    fit = fit_dirichlet(draws.draws)
+    fit = _fit(draws.draws, draws.labels)  # a model zero in every draw is named by its label
     t_eff = float(fit.alpha.sum() - prior_weight)
     negative = t_eff < 0
     return EssEstimate(t_eff=0.0 if negative else t_eff, prior_weight=prior_weight, t_raw=t_raw,

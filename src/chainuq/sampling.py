@@ -219,11 +219,6 @@ class _GammaPlan:
         return self.transform(raw)
 
 
-def sample_dirichlet(alpha, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw Dirichlet(alpha) samples via normalized gamma variates."""
-    return _GammaPlan(alpha).rows(rng, n_samples)
-
-
 def _posterior_shapes(counts: TransitionCounts, prior: PriorSpec) -> np.ndarray:
     """Dirichlet shapes of the row posteriors, with the zero-row guard."""
     shapes = counts.counts + prior.resolve(counts.n_models)

@@ -64,10 +64,7 @@ def _sample_stats(samples: np.ndarray, lo: float, hi: float) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class UncertaintySummary:
-    """Componentwise uncertainty report for the posterior model probabilities.
-
-    Derived, read-only: ``insufficient_draws`` is ``n_draws < 2`` (NaN SDs).
-    """
+    """Componentwise uncertainty report for the posterior model probabilities."""
 
     labels: tuple
     mean: np.ndarray
@@ -78,17 +75,12 @@ class UncertaintySummary:
     levels: tuple
     n_draws: int
 
-    @property
-    def insufficient_draws(self) -> bool:
-        return self.n_draws < 2
-
 
 def summarize(draws: PosteriorDraws, levels=DEFAULT_LEVELS) -> UncertaintySummary:
     """Mean, SD, median and credibility bounds per model.
 
     SDs use the unbiased divisor (R - 1); quantiles interpolate linearly
-    between order statistics. With a single draw the SDs are NaN and the
-    summary is flagged.
+    between order statistics. With a single draw the SDs are NaN.
     """
     lo, hi = _check_levels(levels)
     return UncertaintySummary(
@@ -119,7 +111,6 @@ class BayesFactorSummary:
     lower: float
     upper: float
     levels: tuple
-    odds_factor: float
     n_zero_denominator: int
 
     @property
@@ -159,7 +150,6 @@ def bayes_factors(
                 denominator=lab_j,
                 samples=ratios,
                 levels=(lo, hi),
-                odds_factor=factor,
                 n_zero_denominator=int(finite.size - ratios.size),
                 **_sample_stats(ratios, lo, hi),
             )

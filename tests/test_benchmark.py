@@ -148,6 +148,10 @@ class TestCoverageExperiment:
         assert np.all((0.0 <= cell.coverage) & (cell.coverage <= 1.0))
         assert cell.replications == 20
 
+    def test_cell_of_a_beta_not_run_raises_key_error(self, small_run):
+        with pytest.raises(KeyError):
+            small_run.cell(0.5, "markov")
+
     def test_rerun_is_identical(self, small_run):
         again = run_coverage_experiment(
             PI, betas=(0.0, 0.8), iterations=200, replications=20, n_draws=200, seed=77

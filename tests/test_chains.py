@@ -234,6 +234,13 @@ def test_format_inferred_from_extension(tmp_path):
     assert chain.labels == ("A", "B")
 
 
+def test_unknown_format_rejected(tmp_path):
+    path = tmp_path / "chain.txt"
+    path.write_text("A\nB\n", encoding="utf-8")
+    with pytest.raises(ChainFileError, match="unknown chain file format 'xml'"):
+        read_chain_file(path, "xml")
+
+
 def read_error(path):
     with pytest.raises(ChainFileError) as info:
         read_chain_file(path)

@@ -222,11 +222,15 @@ def _analyze_one_model_chain(**settings):
         lambda: chainuq.draw_posterior(
             chainuq.count_transitions(chainuq.index_chain(["A", "B", "A"])), n_draws=2, seed=-1
         ),
+        lambda: chainuq.draw_posterior(
+            chainuq.count_transitions(chainuq.index_chain(["A", "B", "A"])), n_draws=0, seed=0
+        ),
         lambda: _analyze_one_model_chain(seed=-1),
         lambda: _analyze_one_model_chain(k_top=0),
         lambda: _analyze_one_model_chain(levels=(0.9, 0.1)),
     ],
-    ids=["draw_posterior-seed", "analyze_chains-seed", "analyze_chains-k_top", "analyze_chains-levels"],
+    ids=["draw_posterior-seed", "draw_posterior-n_draws", "analyze_chains-seed",
+         "analyze_chains-k_top", "analyze_chains-levels"],
 )
 def test_library_rejects_bad_setting_with_config_error(call):
     with pytest.raises(ConfigError):
@@ -243,6 +247,26 @@ def test_empty_epsilon_matrix_is_one_config_error(chain_file, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"chainuq: config error: epsilon matrix file {str(empty)!r} holds no numbers\n"
     )
+
+
+def test_non_square_epsilon_matrix_exits_3(tmp_path, capsys):
+    weights = tmp_path / "eps.csv"
+    weights.write_text("1,1\n1,1\n1,1\n", encoding="utf-8")
+    assert main(["analyze", "--input", "/nonexistent.csv", "--epsilon", f"matrix:{weights}"]) == 3
+    assert capsys.readouterr().err == "chainuq: config error: epsilon_matrix must be square\n"
+
+
+@pytest.mark.parametrize("dead, alive", [("B", "A"), ("A", "B"), ("m2", "m10")])
+def test_model_zero_in_every_draw_is_named_by_its_label(tmp_path, capsys, dead, alive):
+    # `dead` is seen once, first, and `alive` absorbs the chain; under the improper
+    # prior `dead` is zero in every draw, so the ESS fit fails before any rendering
+    path = tmp_path / "chain.txt"
+    path.write_text("\n".join([dead] + [alive] * 6) + "\n", encoding="utf-8")
+    argv = ["analyze", "--input", str(path), "--epsilon", "fixed:0", "--bf", f"{alive},{dead}"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"chainuq: numerical failure: component(s) [{dead!r}] are zero in every sample\n"
 
 
 def test_bench_single_draw_exits_3(tmp_path, capsys):
@@ -593,7 +617,6 @@ EXIT_CODES = {
     errors.DegenerateRowError: (2, "numerical failure"),
     errors.NonStochasticError: (2, "numerical failure"),
     errors.NoUniqueStationaryError: (2, "numerical failure"),
-    errors.DomainError: (2, "numerical failure"),
     errors.DegenerateSamplesError: (2, "numerical failure"),
     errors.LabelError: (3, "config error"),
     errors.ConfigError: (3, "config error"),

