@@ -246,8 +246,8 @@ def run_coverage_experiment(
     ------
     ConfigError
         Before the first replication, for any setting out of range
-        (`MixtureChainSpec` checks ``pi_true`` and each beta) or when scipy,
-        which the i.i.d. baseline needs, is not installed.
+        (`MixtureChainSpec` checks ``pi_true`` and each beta), a beta named
+        twice, or when scipy, which the i.i.d. baseline needs, is not installed.
     """
     if iterations < 2 or replications < 1 or n_draws < 2:
         raise ConfigError("--iterations and --draws must be >= 2, --replications >= 1")
@@ -259,6 +259,9 @@ def run_coverage_experiment(
     betas = tuple(float(b) for b in betas)
     if not betas:
         raise ConfigError("--beta-grid must name at least one beta")
+    repeated = [b for i, b in enumerate(betas) if b in betas[:i]]
+    if repeated:  # the study keys its cells and t_eff by beta
+        raise ConfigError(f"--beta-grid names beta {repeated[0]!r} more than once")
     specs = [MixtureChainSpec(tuple(pi), beta, iterations) for beta in betas]
     _betaincinv()  # without scipy, fail here rather than after the first fit
     prior = PriorSpec.default()

@@ -188,9 +188,10 @@ def read_chain_file(path, fmt: str | None = None) -> list[LabeledChain]:
 
     A plain CSV is tokenized as bytes: UTF-8, no ``"`` or NUL byte, LF or CRLF
     line ends, no line over the field limit, no short row, iterations of an
-    optional ``-`` and 1-18 digits. Any other CSV is parsed once by
-    ``csv.reader``, at about 5x the cost per row; one that turns non-plain
-    only near its end is tokenized first.
+    optional ``-`` and 1-18 digits. `_read_plain` returning None is the one
+    hand-off to `_read_rows`: any other CSV, or a plain one with no rows, an
+    empty label or a gap, is parsed once by ``csv.reader``, at about 5x the
+    cost per row; one that turns non-plain only near its end is tokenized first.
 
     Parameters
     ----------
@@ -204,7 +205,7 @@ def read_chain_file(path, fmt: str | None = None) -> list[LabeledChain]:
     if fmt not in ("lines", "csv"):
         raise ChainFileError(f"unknown chain file format {fmt!r}")
     try:
-        return [_read_lines(path)] if fmt == "lines" else _read_csv(path)
+        return [_read_lines(path)] if fmt == "lines" else _read_plain(path) or _read_rows(path)
     except UnicodeDecodeError:  # its offset counts from the text reader's chunk, not the file
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:  # bad byte: U+DCxx
             bad = next(n for n, s in enumerate(fh, 1) if s != s.encode("utf-8", "replace").decode())
@@ -218,48 +219,6 @@ def _read_lines(path: Path) -> LabeledChain:
     if not labels:
         raise EmptyChainError(f"{path}: no labels found")
     return index_chain(labels)
-
-
-def _read_csv(path: Path) -> list[LabeledChain]:
-    # A plain file is tokenized into two integers per row: the code of its
-    # distinct (chain_id, raw label) pair and its iteration. Labels are then
-    # stripped and indexed once per pair, and the row checks run as yes/no
-    # array operations. Every other file, and a plain one with no rows or a
-    # failing row, is read by _read_rows, which names that row.
-    scan = _scan_plain(path)
-    if scan is None or not scan[1]:
-        return _read_rows(path)
-    pairs, codes, iters, chain_col, iter_col = scan
-
-    # per pair: its chain and its stripped label's index in that chain, both
-    # by first appearance, and whether the stripped label is empty
-    chains: dict = {}  # raw chain_id -> (chain index, {stripped label: index})
-    per_pair = []
-    for pair in pairs:
-        cid, label = ("", pair) if chain_col is None else pair
-        c, order = chains.setdefault(cid, (len(chains), {}))
-        label = label.strip()
-        per_pair.append((c, order.setdefault(label, len(order)), not label))
-    pair_chain, pair_local, pair_empty = np.array(per_pair, dtype=np.intp).reshape(-1, 3).T
-    if pair_empty.any():
-        return _read_rows(path)
-    codes = np.frombuffer(codes, dtype=np.int64)
-    by_chain = np.argsort(pair_chain[codes], kind="stable")
-    sorted_codes = codes[by_chain]
-    sorted_chain = pair_chain[sorted_codes]
-    if iter_col is not None:
-        it = np.frombuffer(iters, dtype=np.int64)[by_chain]
-        # np.diff wraps around, so the smallest int64 would seem to follow the largest
-        step = (np.diff(it) != 1) | (it[:-1] == np.iinfo(np.int64).max)
-        if (step & (np.diff(sorted_chain) == 0)).any():
-            return _read_rows(path)
-
-    local = pair_local[sorted_codes]
-    ends = np.cumsum(np.bincount(sorted_chain, minlength=len(chains)))
-    return [
-        LabeledChain(labels=tuple(order), indices=indices)
-        for (_, order), indices in zip(chains.values(), np.split(local, ends[:-1]))
-    ]
 
 
 def _read_rows(path: Path) -> list[LabeledChain]:
@@ -328,15 +287,18 @@ def _columns(path: Path, header: list) -> tuple:
     return column["label"], column.get("iteration"), column.get("chain_id")
 
 
-def _scan_plain(path: Path) -> tuple | None:
-    """A plain file's (chain_id, label) pairs, row codes and iterations, from array operations.
+def _read_plain(path: Path) -> list[LabeledChain] | None:
+    """A plain file's chains, from array operations; None hands the file to `_read_rows`.
 
-    None for a file that is not plain, as `read_chain_file` defines it. Each
-    block of whole lines is split by one pass over its delimiters (commas and
-    LFs): a line's LF and its first delimiter are positions in that one array,
-    so its comma count and the bounds of its k-th field are differences and
-    lookups there. Only rows whose (chain_id, label) bytes differ from the row
-    before's are decoded and looked up.
+    None for a file that is not plain, as `read_chain_file` defines it, or
+    that has no rows, an empty label or an iteration gap. Each block of whole
+    lines is split by one pass over its delimiters (commas and LFs): a line's
+    LF and its first delimiter are positions in that one array, so its comma
+    count and the bounds of its k-th field are differences and lookups there.
+    A row becomes two integers, its (chain_id, raw label) pair's code and its
+    iteration; only rows whose pair bytes differ from the row before's are
+    decoded. Each pair's label is stripped and indexed once, and the row
+    checks run as yes/no array operations.
     """
     limit, header = csv.field_size_limit(), None
     pairs, codes, iters = {}, array("q"), array("q")
@@ -394,7 +356,37 @@ def _scan_plain(path: Path) -> tuple | None:
             keys = keys[0] if chain_col is None else zip(*keys)
             run_codes = np.array([pairs.setdefault(k, len(pairs)) for k in keys], dtype=np.int64)
             codes.frombytes(np.repeat(run_codes, np.diff(runs, append=starts.size)).tobytes())
-    return None if header is None else (pairs, codes, iters, chain_col, iter_col)
+
+    # per pair: its chain and its stripped label's index in that chain, both
+    # by first appearance, and whether the stripped label is empty
+    chains: dict = {}  # raw chain_id -> (chain index, {stripped label: index})
+    per_pair = []
+    for pair in pairs:
+        cid, label = ("", pair) if chain_col is None else pair
+        c, order = chains.setdefault(cid, (len(chains), {}))
+        label = label.strip()
+        per_pair.append((c, order.setdefault(label, len(order)), not label))
+    pair_chain, pair_local, pair_empty = np.array(per_pair, dtype=np.intp).reshape(-1, 3).T
+    if not per_pair or pair_empty.any():  # no rows, or an empty label
+        return None
+    del data, buf, delims, lf, row0, starts, ends, field, bounds  # free the last block's arrays
+    codes = np.frombuffer(codes, dtype=np.int64)
+    by_chain = np.argsort(pair_chain[codes], kind="stable")
+    sorted_codes = codes[by_chain]
+    sorted_chain = pair_chain[sorted_codes]
+    if iter_col is not None:
+        it = np.frombuffer(iters, dtype=np.int64)[by_chain]
+        # np.diff wraps around, so the smallest int64 would seem to follow the largest
+        step = (np.diff(it) != 1) | (it[:-1] == np.iinfo(np.int64).max)
+        if (step & (np.diff(sorted_chain) == 0)).any():
+            return None
+
+    local = pair_local[sorted_codes]
+    ends = np.cumsum(np.bincount(sorted_chain, minlength=len(chains)))
+    return [
+        LabeledChain(labels=tuple(order), indices=indices)
+        for (_, order), indices in zip(chains.values(), np.split(local, ends[:-1]))
+    ]
 
 
 # _LOW_BYTES[w] keeps the low w bytes of a word, which a little-endian read puts first

@@ -26,11 +26,12 @@ from ._pool import map_units
 from .benchmark import run_coverage_experiment
 from .chains import count_transitions, merge_counts, read_chain_file
 from .errors import ChainUQError, ConfigError, InsufficientTransitionsError, LabelError
-from .ess import effective_sample_size
+from .ess import EXCESS_RATIO, effective_sample_size
 from .sampling import PriorSpec, draw_posterior
 from .stationary import classify_support
 from .summaries import (
-    _check_levels, _reject_repeats, bayes_factors, rank_stability, subset_probability, summarize,
+    DEFAULT_LEVELS, _check_levels, _reject_repeats, bayes_factors, rank_stability,
+    subset_probability, summarize,
 )
 
 # warning code -> message template, filled by `str.format`; the report lists
@@ -48,7 +49,7 @@ WARNINGS = {
     "single_model_chain": "only one model was ever sampled; the effective sample size is undefined",
     "negative_ess": "fitted shape total fell below the prior weight; t_eff reported as 0",
     "ess_exceeds_iterations": (
-        "t_eff = {t_eff:.6g} exceeds 1.5x the {t_raw} chain iterations; "
+        "t_eff = {t_eff:.6g} exceeds {ratio:g}x the {t_raw} chain iterations; "
         "reported as estimated, never truncated"
     ),
     "dirichlet_fit_not_converged": (
@@ -76,7 +77,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_epsilon(text: str) -> PriorSpec:
-    if text in ("default_reduced", "default"):
+    if text == "default_reduced":
         return PriorSpec.default()
     if text.startswith("fixed:"):
         try:
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="posterior draws, at least 2 (default 1000; use >= 5000 for densities)")
     an.add_argument("--seed", type=int, default=None,
                     help="RNG seed (default: fresh entropy, recorded in the report)")
-    an.add_argument("--ci", default="0.05,0.95", metavar="LO,HI",
+    an.add_argument("--ci", default=",".join(map(str, DEFAULT_LEVELS)), metavar="LO,HI",
                     help="credibility interval quantile levels")
     an.add_argument("--top-k", type=int, default=None, metavar="K",
                     help="emit a rank-stability report for the top K models")
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--draws", type=int, default=1000, metavar="R",
                     help="posterior draws per replication, at least 2 (default 1000)")
     be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--ci", default="0.05,0.95", metavar="LO,HI")
+    be.add_argument("--ci", default=",".join(map(str, DEFAULT_LEVELS)), metavar="LO,HI")
     be.add_argument("--out", default="coverage", metavar="PREFIX",
                     help="writes PREFIX.csv and PREFIX.json")
     return parser
@@ -223,7 +224,7 @@ def analyze_chains(
     prior: PriorSpec,
     n_draws: int,
     seed: int,
-    levels=(0.05, 0.95),
+    levels=DEFAULT_LEVELS,
     k_top: int | None = None,
     subsets=(),
     bf_pairs=(),
@@ -288,7 +289,7 @@ def analyze_chains(
     if ess_est.negative:
         warn("negative_ess")
     if ess_est.exceeds_raw:
-        warn("ess_exceeds_iterations", t_eff=ess_est.t_eff, t_raw=ess_est.t_raw)
+        warn("ess_exceeds_iterations", t_eff=ess_est.t_eff, ratio=EXCESS_RATIO, t_raw=ess_est.t_raw)
     if not ess_est.converged:
         warn("dirichlet_fit_not_converged")
     if ess_est.approximate:
@@ -395,6 +396,12 @@ def analyze_chains(
     return _clean(report)
 
 
+def _interval(row: dict) -> str:
+    """A Bayes-factor or subset row's mean, SD and interval; one finite ratio has no SD."""
+    sd = "n/a" if row["sd"] is None else f"{row['sd']:.6g}"
+    return f"mean {row['mean']:.6g} sd {sd} ci [{row['ci_lower']:.6g}, {row['ci_upper']:.6g}]"
+
+
 def render_text(report: dict) -> str:
     lines = []
     cfg = report["config"]
@@ -409,14 +416,10 @@ def render_text(report: dict) -> str:
         f"transitions {ch['transitions']}   observed models {ch['models_observed']}"
     )
     lines.append("")
-    header = f"{'model':<16}{'mean':>12}{'sd':>12}{'median':>12}{'lower':>12}{'upper':>12}"
-    lines.append(header)
+    lines.append(f"{'model':<16}" + "".join(f"{name:>12}" for name in STATS.values()))
     for row in report["models"]:
         tag = "  (never sampled)" if row["never_sampled"] else ""
-        lines.append(
-            f"{row['label']:<16}{row['mean']:>12.6g}{row['sd']:>12.6g}{row['median']:>12.6g}"
-            f"{row['ci_lower']:>12.6g}{row['ci_upper']:>12.6g}{tag}"
-        )
+        lines.append(f"{row['label']:<16}" + "".join(f"{row[k]:>12.6g}" for k in STATS) + tag)
     lines.append("")
     ess = report["ess"]
     if ess["t_eff"] is None:
@@ -443,18 +446,10 @@ def render_text(report: dict) -> str:
     # a pair with no finite ratio has its denominator below 1e-308 in every draw,
     # which fails the ESS fit before the report is built
     for bf in report.get("bayes_factors", []):
-        sd = "n/a" if bf["sd"] is None else f"{bf['sd']:.6g}"  # one finite ratio has no SD
         flag = "  [unstable]" if bf["unstable"] else ""
-        lines.append(
-            f"bayes factor {bf['numerator']}/{bf['denominator']}: mean {bf['mean']:.6g} "
-            f"sd {sd} ci [{bf['ci_lower']:.6g}, {bf['ci_upper']:.6g}]{flag}"
-        )
-    for sub_row in report.get("subsets", []):
-        lines.append(
-            f"subset {sub_row['name']} ({','.join(sub_row['labels'])}): "
-            f"mean {sub_row['mean']:.6g} sd {sub_row['sd']:.6g} "
-            f"ci [{sub_row['ci_lower']:.6g}, {sub_row['ci_upper']:.6g}]"
-        )
+        lines.append(f"bayes factor {bf['numerator']}/{bf['denominator']}: {_interval(bf)}{flag}")
+    for sub in report.get("subsets", []):
+        lines.append(f"subset {sub['name']} ({','.join(sub['labels'])}): {_interval(sub)}")
     if report["warnings"]:
         lines.append("")
         lines.append("warnings:")
@@ -469,16 +464,13 @@ def render_csv(report: dict) -> str:
     out.write(
         f"# chainuq={report['version']} seed={cfg['seed']} draws={cfg['draws']} "
         f"epsilon={cfg['epsilon_policy']} ci={cfg['ci_levels'][0]!r},{cfg['ci_levels'][1]!r}\n"
-        "label,mean,sd,median,ci_lower,ci_upper,point_estimate,visits,never_sampled\n"
     )
     # the writer quotes labels that hold a comma, quote or line break
     writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["label", *STATS, "point_estimate", "visits", "never_sampled"])
     for row in report["models"]:
-        writer.writerow([
-            row["label"], repr(row["mean"]), repr(row["sd"]), repr(row["median"]),
-            repr(row["ci_lower"]), repr(row["ci_upper"]), repr(row["point_estimate"]),
-            row["visits"], row["never_sampled"],
-        ])
+        writer.writerow([row["label"], *(repr(row[k]) for k in (*STATS, "point_estimate")),
+                         row["visits"], row["never_sampled"]])
     ess = report["ess"]
     t_eff = "" if ess["t_eff"] is None else repr(ess["t_eff"])
     out.write(f"# ess t_eff={t_eff} t_raw={ess['t_raw']} prior_weight={ess['prior_weight']!r}\n")

@@ -104,10 +104,10 @@ class EssEstimate:
         True when t_eff was raised to 0.0 from below.
 
     Derived, read-only: ``ratio`` is ``t_eff / t_raw``; ``exceeds_raw`` is
-    ``t_eff > EXCESS_RATIO * t_raw``; ``single_model`` is ``fit is None``;
-    ``alpha_hat`` (the fitted shapes), ``converged`` and ``approximate`` are
-    ``fit.alpha``, ``fit.converged`` and ``fit.clamped``, or None, True and
-    False without a fit.
+    ``converged and t_eff > EXCESS_RATIO * t_raw``; ``single_model`` is
+    ``fit is None``; ``alpha_hat`` (the fitted shapes), ``converged`` and
+    ``approximate`` are ``fit.alpha``, ``fit.converged`` and ``fit.clamped``,
+    or None, True and False without a fit.
     """
 
     t_eff: float
@@ -130,7 +130,7 @@ class EssEstimate:
 
     @property
     def exceeds_raw(self) -> bool:
-        return self.t_eff > EXCESS_RATIO * self.t_raw
+        return self.converged and self.t_eff > EXCESS_RATIO * self.t_raw
 
     @property
     def converged(self) -> bool:

@@ -119,8 +119,10 @@ class TestGenerateChain:
         {"n_draws": 1},
         {"seed": -1},
         {"levels": (0.9, 0.1)},
+        {"betas": (0.0, 0.9, 0.0)},
     ],
-    ids=["late-beta", "no-beta", "nan-pi", "iterations", "replications", "draws", "seed", "levels"],
+    ids=["late-beta", "no-beta", "nan-pi", "iterations", "replications", "draws", "seed", "levels",
+         "repeated-beta"],
 )
 def test_bad_setting_fails_before_any_chain(monkeypatch, settings):
     calls = []

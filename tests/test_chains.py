@@ -295,15 +295,16 @@ def test_read_csv_iteration_does_not_wrap_around(tmp_path):
 def test_read_csv_skips_byte_order_mark(tmp_path, quote):
     path = tmp_path / "chains.csv"
     path.write_bytes(f"\ufeffchain_id,label\na,{quote}A{quote}\na,B\nb,B\nb,A\n".encode())
-    assert (chains_module._scan_plain(path) is None) == bool(quote)
+    assert (chains_module._read_plain(path) is None) == bool(quote)
     assert read_as_lists(path) == [(("A", "B"), [0, 1]), (("B", "A"), [0, 1])]
 
 
 @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
 def test_read_csv_byte_order_mark_keeps_iteration_check(tmp_path, quote):
     path = tmp_path / "chains.csv"
+    path.write_bytes(f"\ufeffiteration,label\n1,{quote}A{quote}\n\n2,B\n".encode())
+    assert (chains_module._read_plain(path) is None) == bool(quote)
     path.write_bytes(f"\ufeffiteration,label\n1,{quote}A{quote}\n\n3,B\n".encode())
-    assert (chains_module._scan_plain(path) is None) == bool(quote)
     assert read_error(path) == f"{path}:4: iteration 3 does not follow 1 consecutively in chain ''"
 
 
@@ -607,8 +608,8 @@ def test_read_csv_r_write_csv_layout_matches_plain(tmp_path, chain_ids):
     plain, r_style = tmp_path / "plain.csv", tmp_path / "r.csv"
     plain.write_text(rows_csv(rows, chain_ids, r_style=False), encoding="utf-8")
     r_style.write_text(rows_csv(rows, chain_ids, r_style=True), encoding="utf-8")
-    assert chains_module._scan_plain(plain) is not None
-    assert chains_module._scan_plain(r_style) is None
+    assert chains_module._read_plain(plain) is not None
+    assert chains_module._read_plain(r_style) is None
     assert read_as_lists(r_style) == read_as_lists(plain)
     assert read_as_lists(r_style)[0][0][:2] == ("A", "model B")  # the inner space kept
 
@@ -628,12 +629,12 @@ def test_read_csv_r_write_csv_layout_gap_names_its_line(tmp_path, chain_ids):
 def test_read_csv_lone_carriage_return_falls_back(tmp_path):
     path = tmp_path / "chain.csv"
     path.write_bytes(b"iteration,label\n0,A\r1,B\n2,A\n")
-    assert chains_module._scan_plain(path) is None
+    assert chains_module._read_plain(path) is None
     assert outcome(read_as_lists, path) == outcome(oracle_read_csv, path)
 
 
 def test_read_csv_19_digit_iteration_falls_back(tmp_path):
     path = tmp_path / "chain.csv"
     path.write_text("iteration,label\n0,A\n9999999999999999999,B\n", encoding="utf-8")
-    assert chains_module._scan_plain(path) is None
+    assert chains_module._read_plain(path) is None
     assert read_error(path) == f"{path}:3: iteration 9999999999999999999 does not fit in 64 bits"

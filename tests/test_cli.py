@@ -154,9 +154,11 @@ def test_malformed_input_exits_1_with_line(tmp_path, capsys, name, data, where):
         (["--subset", "s="], "subset 's=' names no models"),
         (["--bf", "A"], "--bf expects 'numerator,denominator', got 'A'"),
         (["--ci", "0.1,x"], "cannot parse --ci value '0.1,x'"),
+        (["--epsilon", "default"],
+         "epsilon must be 'default_reduced', 'fixed:<value>' or 'matrix:<path>', got 'default'"),
     ],
     ids=["declared-repeat", "epsilon-fixed-value", "epsilon-matrix-path", "subset-no-models",
-         "bf-one-label", "ci-value"],
+         "bf-one-label", "ci-value", "epsilon-default-alias"],
 )
 def test_bad_flag_exits_3_before_reading(capsys, flag, message):
     assert main(["analyze", "--input", "/nonexistent.csv"] + flag) == 3
@@ -365,8 +367,11 @@ def test_readme_lists_every_warning_code():
         # one Newton step on the shape total does not meet the stopping rule
         ("B\n" + "A\n" * 20, ["--draws", "200"], 1,
          [{"code": "dirichlet_fit_not_converged", "message": WARNINGS["dirichlet_fit_not_converged"]}]),
+        # draws equal to rounding leave t_eff undetermined, so it exceeds nothing
+        ("A\nB\n" * 8, ["--draws", "50", "--epsilon", "fixed:0"], dirichlet.MAX_NEWTON_STEPS,
+         [{"code": "dirichlet_fit_not_converged", "message": WARNINGS["dirichlet_fit_not_converged"]}]),
     ],
-    ids=["top-k-and-declared", "negative-ess", "fit-not-converged"],
+    ids=["top-k-and-declared", "negative-ess", "fit-not-converged", "undetermined-t-eff"],
 )
 def test_warning_messages_fill_their_templates(tmp_path, capsys, monkeypatch, chain, flags, steps,
                                                expected):
@@ -600,6 +605,12 @@ def test_bench_nan_pi_exits_3(tmp_path, capsys):
 def test_bench_negative_seed_exits_3(tmp_path, capsys):
     assert main(["bench", "--seed", "-3", "--out", str(tmp_path / "cov")]) == 3
     assert "--seed must be nonnegative" in capsys.readouterr().err
+
+
+def test_bench_repeated_beta_exits_3(tmp_path, capsys):
+    assert main(["bench", "--beta-grid", "0,0.9,0", "--out", str(tmp_path / "cov")]) == 3
+    assert "--beta-grid names beta 0.0 more than once" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_analyze_negative_seed_exits_3_before_reading(capsys):
