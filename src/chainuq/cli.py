@@ -217,6 +217,8 @@ def _check_settings(n_draws, seed, levels, k_top, declared, subsets) -> None:
     if "" in subset_names:
         raise LabelError("a subset has an empty name")
     _reject_repeats(subset_names, "subset list")
+    for _, members in subsets:
+        _reject_repeats(tuple(members), "subset")
 
 
 def analyze_chains(
@@ -247,8 +249,8 @@ def analyze_chains(
         standard deviations undefined, ``seed`` is negative, ``levels`` are
         not 0 < lo < hi < 1, or ``k_top`` is below 1; checked before counting.
     LabelError
-        If ``declared`` names a model more than once, or a subset name is
-        empty or repeated.
+        If ``declared`` or a subset names a model more than once, or a
+        subset name is empty or repeated.
     """
     _check_settings(n_draws, seed, levels, k_top, declared, subsets)
     counts = merge_counts([count_transitions(c) for c in chains])

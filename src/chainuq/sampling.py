@@ -154,69 +154,46 @@ class PosteriorDraws:
         return self.source.labels
 
 
-class _GammaPlan:
-    """Precomputed masks and shape slices for repeated gamma sampling.
+def _dirichlet_rows(shapes: np.ndarray, rngs, per_rng: int) -> np.ndarray:
+    """``per_rng`` row-normalized gamma matrices from each generator, stacked.
 
-    Shapes below one use the boosting identity G_a = G_{a+1} * U^(1/a),
-    evaluated in log space so that draws at tiny shapes never underflow to
-    zero. Shape exactly zero yields -inf (a degenerate point mass at zero).
+    Generator i fills the i-th run of ``per_rng`` matrices with three calls:
+    gammas at the shapes >= 1, at the boosted small shapes, then uniforms.
+    A shape below one uses G_a = G_{a+1} * U^(1/a) in log space, so tiny
+    shapes never underflow; shape 0 gives -inf, a point mass at zero. Each
+    step is elementwise or along a row, so a matrix gets the same bits in
+    any stack. The raw variates die on return, before the caller's solve.
     """
-
-    def __init__(self, shapes: np.ndarray):
-        shapes = np.asarray(shapes, dtype=float)
-        self.shape = shapes.shape
-        self.small = (shapes > 0) & (shapes < 1.0)
-        self.large = shapes >= 1.0
-        self.large_shapes = shapes[self.large]
-        self.small_boosted = shapes[self.small] + 1.0
-        self.small_inverse = 1.0 / shapes[self.small]
-        self.n_small = int(self.small.sum())
-
-    def empty(self, n_matrices: int) -> tuple:
-        """Raw-variate arrays with a row per matrix: the gammas at shapes >= 1,
-        the boosted gammas and the uniforms."""
-        sizes = (self.large_shapes.size, self.n_small, self.n_small)
-        return tuple(np.empty((n_matrices, size)) for size in sizes)
-
-    def draw(self, rng: np.random.Generator, raw: tuple) -> None:
-        """Fill ``raw`` (rows of ``empty``'s arrays) from ``rng``.
-
-        The stream is consumed by three calls, in order: the shapes >= 1, the
-        boosted small shapes, then the uniforms.
-        """
-        large, boosted, uniform = raw
-        if self.large_shapes.size:
-            rng.standard_gamma(self.large_shapes, out=large)
-        if self.n_small:
-            rng.standard_gamma(self.small_boosted, out=boosted)
-            rng.random(out=uniform)
-
-    def transform(self, raw: tuple) -> np.ndarray:
-        """Row-normalized matrices from raw variates, one per row of ``raw``.
-
-        Every step is elementwise or along a row, so a stack of draws gives
-        each matrix the bits it gets alone.
-        """
-        large, boosted, uniform = raw
-        w = np.full((len(large),) + self.shape, -np.inf)
-        if self.large_shapes.size:
-            w[:, self.large] = np.log(large)
-        if self.n_small:
-            # log of a Uniform(0, 1] variate; avoids log(0)
-            w[:, self.small] = np.log(boosted) + np.log1p(-uniform) * self.small_inverse
-        # row maxima down the columns of a transposed copy: the same values as
-        # w.max(axis=-1), which spends about 50 ns on each short row
-        top = np.ascontiguousarray(w.reshape(-1, w.shape[-1]).T).max(axis=0)
-        w -= top.reshape(w.shape[:-1] + (1,))
-        np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
-        return w
-
-    def rows(self, rng: np.random.Generator, n_matrices: int) -> np.ndarray:
-        """Row-normalized gamma variates, ``n_matrices`` stacked."""
-        raw = self.empty(n_matrices)
-        self.draw(rng, raw)
-        return self.transform(raw)
+    shapes = np.asarray(shapes, dtype=float)
+    small = (shapes > 0) & (shapes < 1.0)
+    large = shapes >= 1.0
+    large_shapes = shapes[large]
+    small_boosted = shapes[small] + 1.0
+    small_inverse = 1.0 / shapes[small]
+    n_matrices = len(rngs) * per_rng
+    gammas = np.empty((n_matrices, large_shapes.size))
+    boosted = np.empty((n_matrices, small_boosted.size))
+    uniform = np.empty_like(boosted)
+    for i, rng in enumerate(rngs):
+        rows = slice(i * per_rng, (i + 1) * per_rng)
+        if large_shapes.size:
+            rng.standard_gamma(large_shapes, out=gammas[rows])
+        if small_boosted.size:
+            rng.standard_gamma(small_boosted, out=boosted[rows])
+            rng.random(out=uniform[rows])
+    w = np.full((n_matrices,) + shapes.shape, -np.inf)
+    if large_shapes.size:
+        w[:, large] = np.log(gammas)
+    if small_boosted.size:
+        # log of a Uniform(0, 1] variate; avoids log(0)
+        w[:, small] = np.log(boosted) + np.log1p(-uniform) * small_inverse
+    # row maxima down the columns of a transposed copy: the same values as
+    # w.max(axis=-1), which spends about 50 ns on each short row
+    top = np.ascontiguousarray(w.reshape(-1, w.shape[-1]).T).max(axis=0)
+    w -= top.reshape(w.shape[:-1] + (1,))
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def _posterior_shapes(counts: TransitionCounts, prior: PriorSpec) -> np.ndarray:
@@ -241,7 +218,7 @@ def sample_transition_matrix(
     DegenerateRowError
         If some row has neither counts nor prior weight anywhere.
     """
-    return _GammaPlan(_posterior_shapes(counts, prior)).rows(rng, 1)[0]
+    return _dirichlet_rows(_posterior_shapes(counts, prior), [rng], 1)[0]
 
 
 def _block_draws(n_models: int) -> int:
@@ -308,7 +285,6 @@ def draw_posterior(
         _require_unique(shapes)
     except NoUniqueStationaryError as exc:
         raise NoUniqueStationaryError(f"draw 0: {exc}") from exc
-    plan = _GammaPlan(shapes)
     block = _block_draws(n)
     n_blocks = -(-n_draws // block)
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
@@ -318,13 +294,8 @@ def draw_posterior(
 
     def fill(unit):
         start, stop = unit.start * block, min(unit.stop * block, n_draws)
-        raw = plan.empty(len(unit) * block)
-        for i, k in enumerate(unit):
-            rows = slice(i * block, (i + 1) * block)
-            plan.draw(np.random.default_rng(streams[k]), tuple(r[rows] for r in raw))
-        p = plan.transform(raw)[: stop - start]
-        del raw  # the solve's copies of p are the unit's peak; the variates need not add to it
-        pi, ok = _solve_stack(p)
+        rngs = [np.random.default_rng(streams[k]) for k in unit]
+        pi, ok = _solve_stack(_dirichlet_rows(shapes, rngs, block)[: stop - start])
         if not ok.all():
             raise NoUniqueStationaryError(f"draw {start + int(np.argmin(ok))}: {REJECTED}")
         out[start:stop] = pi

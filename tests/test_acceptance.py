@@ -17,7 +17,7 @@ from chainuq.chains import count_transitions, index_chain
 from chainuq.cli import analyze_chains
 from chainuq.dirichlet import _invert_digamma, _psi_psi1, fit_dirichlet
 from chainuq.ess import effective_sample_size
-from chainuq.sampling import PriorSpec, _GammaPlan, draw_posterior, sample_transition_matrix
+from chainuq.sampling import PriorSpec, _dirichlet_rows, draw_posterior, sample_transition_matrix
 from chainuq.stationary import stationary
 
 PI_TRUE = (0.85, 0.13, 0.02)
@@ -176,7 +176,7 @@ def test_criterion_06_stationary_solver_equivalence():
 def test_criterion_07_dirichlet_fit_recovery():
     rng = np.random.default_rng(707)
     alpha = np.array([5.0, 3.0, 2.0])
-    samples = _GammaPlan(alpha).rows(rng, 100_000)
+    samples = _dirichlet_rows(alpha, [rng], 100_000)
     fit = fit_dirichlet(samples)
     rel_err = float(np.abs(fit.alpha - alpha).max() / alpha.min())
     within = bool(np.all(np.abs(fit.alpha - alpha) / alpha < 0.05))

@@ -152,13 +152,14 @@ def test_malformed_input_exits_1_with_line(tmp_path, capsys, name, data, where):
         (["--epsilon", "matrix:/nonexistent/eps.csv"],
          "cannot read epsilon matrix from '/nonexistent/eps.csv'"),
         (["--subset", "s="], "subset 's=' names no models"),
+        (["--subset", "s=A,A"], "subset names 'A' more than once"),
         (["--bf", "A"], "--bf expects 'numerator,denominator', got 'A'"),
         (["--ci", "0.1,x"], "cannot parse --ci value '0.1,x'"),
         (["--epsilon", "default"],
          "epsilon must be 'default_reduced', 'fixed:<value>' or 'matrix:<path>', got 'default'"),
     ],
     ids=["declared-repeat", "epsilon-fixed-value", "epsilon-matrix-path", "subset-no-models",
-         "bf-one-label", "ci-value", "epsilon-default-alias"],
+         "subset-repeat", "bf-one-label", "ci-value", "epsilon-default-alias"],
 )
 def test_bad_flag_exits_3_before_reading(capsys, flag, message):
     assert main(["analyze", "--input", "/nonexistent.csv"] + flag) == 3

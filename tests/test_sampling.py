@@ -497,18 +497,32 @@ def test_prior_washout_with_heavy_counts():
 
 def per_block_draws(counts, n_draws, seed):
     """``draw_posterior``'s draws from a plain loop: one stream, rows and solve per block."""
-    plan = sampling._GammaPlan(sampling._posterior_shapes(counts, PriorSpec.default()))
+    shapes = sampling._posterior_shapes(counts, PriorSpec.default())
     block = sampling._block_draws(counts.n_models)
     streams = np.random.SeedSequence(seed).spawn(-(-n_draws // block))
     parts = []
     for k, stream in enumerate(streams):
         start = k * block
-        pi, ok = sampling._solve_stack(
-            plan.rows(np.random.default_rng(stream), block)[: n_draws - start]
-        )
+        rows = sampling._dirichlet_rows(shapes, [np.random.default_rng(stream)], block)
+        pi, ok = sampling._solve_stack(rows[: n_draws - start])
         assert ok.all()
         parts.append(pi)
     return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("per_rng", [1, 3, 256])
+def test_dirichlet_rows_over_many_generators_stack_the_one_generator_calls(per_rng):
+    # exact zeros, shapes below one and shapes >= 1 together, so all three
+    # stream calls run and some cells are -inf before the transform
+    shapes = np.array([[0.0, 0.3, 2.5, 1.0], [4.0, 0.0, 0.0, 0.02], [0.7, 1.5, 0.0, 3.0],
+                       [0.0, 0.0, 0.0, 9.0]])
+    seeds = np.random.SeedSequence(11).spawn(4)
+    stacked = sampling._dirichlet_rows(shapes, [np.random.default_rng(s) for s in seeds], per_rng)
+    alone = [sampling._dirichlet_rows(shapes, [np.random.default_rng(s)], per_rng) for s in seeds]
+    assert stacked.shape == (4 * per_rng, 4, 4)
+    assert np.array_equal(stacked, np.concatenate(alone))
+    assert np.all(stacked[:, shapes == 0] == 0)
+    assert np.all(stacked[:, 3, 3] == 1)
 
 
 @pytest.mark.parametrize("n_draws", [1, 255, 257, 1000, 7300])
@@ -527,9 +541,9 @@ def test_draws_match_a_plain_per_block_loop(n_models, n_draws):
 def test_rejected_draw_is_named_by_its_global_index(monkeypatch, pool_cells):
     # the solve rejects the matrix of draw 600, the 89th of block 2
     counts = make_counts([[40, 12, 3], [9, 50, 6], [4, 7, 33]])
-    plan = sampling._GammaPlan(sampling._posterior_shapes(counts, PriorSpec.default()))
+    shapes = sampling._posterior_shapes(counts, PriorSpec.default())
     stream = np.random.SeedSequence(5).spawn(3)[2]
-    target = plan.rows(np.random.default_rng(stream), 256)[600 - 512]
+    target = sampling._dirichlet_rows(shapes, [np.random.default_rng(stream)], 256)[600 - 512]
     solve = sampling._solve_stack
 
     def reject_target(p):
