@@ -23,9 +23,9 @@ import numpy as np
 
 from .chains import LabeledChain, count_transitions
 from .errors import ConfigError
-from .ess import _betaincinv, effective_sample_size, iid_posterior
+from .ess import effective_sample_size, iid_posterior
 from .sampling import PriorSpec, draw_posterior
-from .summaries import DEFAULT_LEVELS, _check_levels, summarize
+from .summaries import DEFAULT_LEVELS, _check_levels, _sample_stats
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,14 @@ def generate_chain(spec: MixtureChainSpec) -> LabeledChain:
     )
 
 
-def _derived_seeds(seed: int, beta_index: int, replication: int) -> tuple[int, int]:
-    """Independent (chain, draws) seeds for one replication cell."""
-    children = np.random.SeedSequence([seed, beta_index, replication]).spawn(2)
-    return (
-        int(children[0].generate_state(1, np.uint64)[0]),
-        int(children[1].generate_state(1, np.uint64)[0]),
-    )
+def _derived_seeds(seed: int, beta_index: int, replication: int) -> tuple[int, int, int]:
+    """Independent (chain, Markov draws, i.i.d. draws) seeds for one replication cell.
+
+    Spawning more children leaves the first ones unchanged, so the chain and
+    Markov seeds are those of ``spawn(2)``.
+    """
+    children = np.random.SeedSequence([seed, beta_index, replication]).spawn(3)
+    return tuple(int(c.generate_state(1, np.uint64)[0]) for c in children)
 
 
 # the two uncertainty methods, in the order their cells are reported
@@ -246,8 +247,8 @@ def run_coverage_experiment(
     ------
     ConfigError
         Before the first replication, for any setting out of range
-        (`MixtureChainSpec` checks ``pi_true`` and each beta), a beta named
-        twice, or when scipy, which the i.i.d. baseline needs, is not installed.
+        (`MixtureChainSpec` checks ``pi_true`` and each beta) or a beta named
+        twice.
     """
     if iterations < 2 or replications < 1 or n_draws < 2:
         raise ConfigError("--iterations and --draws must be >= 2, --replications >= 1")
@@ -263,7 +264,6 @@ def run_coverage_experiment(
     if repeated:  # the study keys its cells and t_eff by beta
         raise ConfigError(f"--beta-grid names beta {repeated[0]!r} more than once")
     specs = [MixtureChainSpec(tuple(pi), beta, iterations) for beta in betas]
-    _betaincinv()  # without scipy, fail here rather than after the first fit
     prior = PriorSpec.default()
 
     cells = []
@@ -273,18 +273,22 @@ def run_coverage_experiment(
         covered = {m: np.empty((replications, n_states), dtype=bool) for m in METHODS}
         ess_vals = np.empty(replications)
         for rep in range(replications):
-            chain_seed, draw_seed = _derived_seeds(seed, b_idx, rep)
+            chain_seed, draw_seed, iid_seed = _derived_seeds(seed, b_idx, rep)
             chain = generate_chain(replace(spec, seed=chain_seed))
             counts = count_transitions(chain)
             draws = draw_posterior(counts, prior, n_draws=n_draws, seed=draw_seed)
             ess_vals[rep] = effective_sample_size(draws).t_eff
             # labels are the 1-based state numbers; unvisited states stay 0
             states = np.asarray(counts.labels) - 1
-            summary = summarize(draws, levels=(lo, hi))
+            ipost = iid_posterior(np.bincount(states, counts.visits, minlength=n_states),
+                                  n_draws, iid_seed)
+            # one pass over the I* Markov columns, then the n_states i.i.d. ones;
+            # each column's statistics depend on that column alone
+            stats = _sample_stats(np.hstack([draws.draws, ipost.draws]), lo, hi)
+            both = np.array([stats["sd"], stats["lower"], stats["upper"]])
             markov = np.zeros((3, n_states))
-            markov[:, states] = summary.sd, summary.lower, summary.upper
-            ipost = iid_posterior(np.bincount(states, counts.visits, minlength=n_states))
-            iid = (ipost.sd(), ipost.quantile(lo), ipost.quantile(hi))
+            markov[:, states] = both[:, : states.size]
+            iid = both[:, states.size:]
             for m, (m_sd, m_lo, m_hi) in zip(METHODS, (markov, iid)):
                 sd[m][rep] = m_sd
                 covered[m][rep] = (m_lo <= pi) & (pi <= m_hi)

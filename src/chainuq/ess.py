@@ -16,69 +16,55 @@ import numpy as np
 
 from .dirichlet import DirichletFit, _fit
 from .errors import ConfigError, EmptyChainError
-from .sampling import PosteriorDraws
+from .sampling import PosteriorDraws, _dirichlet_rows
+from .summaries import _sample_stats
 
 EXCESS_RATIO = 1.5  # warn when t_eff exceeds this multiple of the iteration count
 
 
-def _betaincinv():
-    """scipy's inverse incomplete Beta; only the i.i.d. baseline needs scipy."""
-    try:
-        from scipy.special import betaincinv
-    except ImportError:
-        raise ConfigError(
-            "the i.i.d. baseline of chainuq bench needs scipy: pip install 'chainuq[bench]'"
-        ) from None
-    return betaincinv
-
-
 @dataclass(frozen=True, eq=False)
 class IidPosterior:
-    """Dirichlet posterior for the occupancy probabilities under i.i.d. sampling.
+    """Draws of the occupancy probabilities' posterior under i.i.d. sampling.
 
-    Parameters are the raw visit counts (improper Dirichlet(0,...,0) prior);
-    models never visited carry a degenerate point mass at zero.
+    ``draws`` holds R rows of Dirichlet(``concentrations``), the raw visit
+    counts (improper Dirichlet(0,...,0) prior): a model never visited is
+    exactly 0 in every draw, and a lone visited model exactly 1.
     """
 
     concentrations: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.concentrations.sum())
+    draws: np.ndarray
 
     def sd(self) -> np.ndarray:
-        n = self.concentrations
-        total = self.total
-        return np.sqrt(n * (total - n) / (total * total * (total + 1.0)))
+        """Componentwise SD of the draws (divisor R - 1)."""
+        return _sample_stats(self.draws, 0.5, 0.5)["sd"]
 
     def quantile(self, q: float) -> np.ndarray:
-        """Marginal Beta quantiles, componentwise."""
-        betaincinv = _betaincinv()
-        n = self.concentrations
-        total = self.total
-        out = np.empty(n.shape)
-        interior = (n > 0) & (n < total)
-        out[n == 0] = 0.0
-        out[n == total] = 1.0
-        if interior.any():
-            out[interior] = betaincinv(n[interior], total - n[interior], q)
-        return out
+        """Componentwise quantile of the draws, by `summarize`'s linear rule."""
+        return _sample_stats(self.draws, q, q)["lower"]
 
 
-def iid_posterior(visit_counts) -> IidPosterior:
+def iid_posterior(visit_counts, n_draws: int = 1000, seed: int = 0) -> IidPosterior:
     """Posterior for the occupancy probabilities if samples were independent.
+
+    ``n_draws`` rows of Dirichlet(visit counts) from one generator seeded
+    with ``seed``, drawn by the Markov path's row kernel.
 
     Raises
     ------
     EmptyChainError
-        If all visit counts are zero.
+        If the visit counts are not a finite nonnegative vector, or all are zero.
+    ConfigError
+        If ``n_draws`` is below 1 or ``seed`` is negative.
     """
     n = np.asarray(visit_counts, dtype=float)
-    if n.ndim != 1 or np.any(n < 0):
+    if n.ndim != 1 or not np.all((n >= 0) & (n < np.inf)):  # NaN fails both
         raise EmptyChainError("visit counts must be a nonnegative vector")
     if n.sum() <= 0:
         raise EmptyChainError("all visit counts are zero")
-    return IidPosterior(concentrations=n)
+    if n_draws < 1 or seed < 0:
+        raise ConfigError(f"n_draws must be >= 1 and seed >= 0, got {n_draws} and {seed}")
+    draws = _dirichlet_rows(n, [np.random.default_rng(seed)], n_draws)
+    return IidPosterior(concentrations=n, draws=draws)
 
 
 @dataclass(frozen=True)

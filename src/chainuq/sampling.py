@@ -157,6 +157,7 @@ class PosteriorDraws:
 def _dirichlet_rows(shapes: np.ndarray, rngs, per_rng: int) -> np.ndarray:
     """``per_rng`` row-normalized gamma matrices from each generator, stacked.
 
+    A vector of shapes gives rows instead of matrices.
     Generator i fills the i-th run of ``per_rng`` matrices with three calls:
     gammas at the shapes >= 1, at the boosted small shapes, then uniforms.
     A shape below one uses G_a = G_{a+1} * U^(1/a) in log space, so tiny

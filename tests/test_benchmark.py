@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,7 +201,7 @@ def test_cells_match_a_plain_replication_loop():
         rows = {"markov": ([], []), "iid": ([], [])}  # per-replication SDs and cover flags
         t_eff = []
         for rep in range(replications):
-            chain_seed, draw_seed = _derived_seeds(seed, b_idx, rep)
+            chain_seed, draw_seed, iid_seed = _derived_seeds(seed, b_idx, rep)
             counts = count_transitions(
                 generate_chain(MixtureChainSpec(PI, beta, iterations, seed=chain_seed))
             )
@@ -214,7 +218,7 @@ def test_cells_match_a_plain_replication_loop():
                     markov.append((0.0, 0.0, 0.0))
                     visits.append(0)
                     missed_a_state = True
-            ipost = iid_posterior(visits)
+            ipost = iid_posterior(visits, n_draws, iid_seed)
             iid = list(zip(ipost.sd(), ipost.quantile(lo), ipost.quantile(hi)))
             for method, fit in (("markov", markov), ("iid", iid)):
                 sds, flags = rows[method]
@@ -227,6 +231,32 @@ def test_cells_match_a_plain_replication_loop():
             assert np.array_equal(cell.coverage, np.mean(flags, axis=0))
             assert cell.joint_coverage == np.mean([all(f) for f in flags])
     assert missed_a_state  # some short chain never visits the rare state
+
+
+@pytest.mark.parametrize("cell, chain_and_markov", [
+    ((0, 0, 0), (8668861027912758289, 4881901421217228719)),
+    ((3, 1, 7), (12726980290186576505, 13947036692243945624)),
+    ((2**32 + 5, 2, 199), (1842484335132757223, 18019207102118996397)),
+])
+def test_derived_seeds_keep_the_chain_and_markov_seeds(cell, chain_and_markov):
+    # the seeds of SeedSequence(...).spawn(2): the i.i.d. stream moves no chain or Markov bit
+    seeds = _derived_seeds(*cell)
+    assert seeds[:2] == chain_and_markov
+    assert len(set(seeds)) == 3
+
+
+def test_coverage_study_loads_no_scipy():
+    # the i.i.d. baseline is drawn, not taken from Beta quantiles: the study needs no scipy
+    env = dict(os.environ, PYTHONPATH=str(Path(chainuq.benchmark.__file__).parents[1]))
+    code = (
+        "import sys, chainuq; chainuq.run_coverage_experiment("
+        "(0.85, 0.13, 0.02), (0.0, 0.8), iterations=50, replications=2, n_draws=50); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["[]"]
 
 
 def test_undefined_t_eff_median_is_null_in_json():

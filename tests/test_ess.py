@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats as ss
 
 from chainuq.benchmark import MixtureChainSpec, generate_chain
 from chainuq.chains import count_transitions, index_chain
-from chainuq.errors import EmptyChainError
+from chainuq.errors import ConfigError, EmptyChainError
 from chainuq.ess import effective_sample_size, iid_posterior
 from chainuq.sampling import PriorSpec, draw_posterior
 
@@ -17,20 +18,39 @@ def mixture_t_eff(beta, iterations, seed, n_draws=800):
     return effective_sample_size(draws)
 
 
+def within_order_statistic_band(estimate, exact, q, n_draws, tail=1e-6):
+    """Whether a linear-rule sample quantile is consistent with the exact Beta one.
+
+    ``exact`` is the frozen scipy distribution. The estimate lies between
+    order statistics j and j + 1 (1-based, j = floor((R - 1) q) + 1), and
+    F(X_(k)) ~ Beta(k, R + 1 - k) for the distribution's CDF F; the check
+    is that F(estimate) lies inside the two tails of that binomial band.
+    """
+    j = math.floor((n_draws - 1) * q) + 1
+    low = ss.beta.ppf(tail, j, n_draws + 1 - j)
+    high = ss.beta.isf(tail, j + 1, n_draws - j)
+    return low <= exact.cdf(estimate) <= high
+
+
 class TestIidPosterior:
     def test_mean_from_counts(self):
-        post = iid_posterior([8, 2])
-        assert np.allclose(post.concentrations / post.total, [0.8, 0.2])
+        post = iid_posterior([8, 2], n_draws=4000, seed=1)
         assert np.allclose(post.concentrations, [8, 2])
+        assert post.draws.shape == (4000, 2)
+        assert np.allclose(post.draws.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        # Beta(8, 3) has SD 0.12; the mean of 4000 draws is within 0.01 of 0.8
+        assert np.allclose(post.draws.mean(axis=0), [0.8, 0.2], rtol=0, atol=0.01)
 
     def test_uniform_case(self):
-        post = iid_posterior([1, 1, 1])
-        assert np.allclose(post.concentrations / post.total, [1 / 3, 1 / 3, 1 / 3])
+        post = iid_posterior([1, 1, 1], n_draws=20000, seed=2)
         # Dirichlet(1,1,1) marginals are Beta(1,2): quantiles of 1-(1-q)^(1/2)
-        assert np.allclose(post.quantile(0.5), 1.0 - math.sqrt(0.5), atol=1e-12)
+        assert 1.0 - math.sqrt(0.5) == pytest.approx(ss.beta(1, 2).ppf(0.5), abs=1e-15)
+        for estimate in post.quantile(0.5):
+            assert within_order_statistic_band(estimate, ss.beta(1, 2), 0.5, 20000)
 
     def test_unvisited_model_is_flagged_degenerate(self):
         post = iid_posterior([10, 0])
+        assert not post.draws[:, 1].any()
         assert post.sd()[1] == 0.0
         assert post.quantile(0.95)[1] == 0.0
 
@@ -42,15 +62,50 @@ class TestIidPosterior:
         with pytest.raises(EmptyChainError, match="nonnegative vector"):
             iid_posterior([-1, 2])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_count_rejected(self, bad):
+        with pytest.raises(EmptyChainError, match="nonnegative vector"):
+            iid_posterior([bad, 3])
+
+    @pytest.mark.parametrize("n_draws, seed", [(0, 1), (10, -1)])
+    def test_bad_draw_settings_rejected(self, n_draws, seed):
+        with pytest.raises(ConfigError, match="n_draws must be >= 1 and seed >= 0"):
+            iid_posterior([8, 2], n_draws=n_draws, seed=seed)
+
     def test_sd_matches_beta_marginal(self):
-        post = iid_posterior([8, 2])
+        post = iid_posterior([8, 2], n_draws=20000, seed=3)
         expected = math.sqrt(8 * 2 / (10**2 * 11))
-        assert abs(post.sd()[0] - expected) <= 1e-14
+        assert np.allclose(post.sd(), expected, rtol=0.03, atol=0)
+
+    @pytest.mark.parametrize("visits", [(850, 130, 20), (5, 0, 995)])
+    def test_draws_match_the_exact_beta_marginals(self, visits):
+        n_draws, lo, hi = 20000, 0.05, 0.95
+        post = iid_posterior(visits, n_draws=n_draws, seed=4)
+        sd, lower, upper = post.sd(), post.quantile(lo), post.quantile(hi)
+        for i, n in enumerate(visits):
+            if n == 0:  # a point mass at zero, exactly
+                assert (sd[i], lower[i], upper[i]) == (0.0, 0.0, 0.0)
+                continue
+            exact = ss.beta(n, sum(visits) - n)
+            assert sd[i] == pytest.approx(exact.std(), rel=0.03)
+            assert within_order_statistic_band(lower[i], exact, lo, n_draws)
+            assert within_order_statistic_band(upper[i], exact, hi, n_draws)
 
     def test_fully_visited_single_model(self):
         post = iid_posterior([5])
         assert post.quantile(0.05)[0] == 1.0
         assert post.sd()[0] == 0.0
+
+    def test_single_visited_model_among_several_is_exactly_one(self):
+        post = iid_posterior([0, 7, 0], n_draws=50, seed=5)
+        assert np.array_equal(post.draws, np.tile([0.0, 1.0, 0.0], (50, 1)))
+        assert post.sd().tolist() == [0.0, 0.0, 0.0]
+        assert post.quantile(0.05).tolist() == post.quantile(0.95).tolist() == [0.0, 1.0, 0.0]
+
+    def test_same_seed_same_draws(self):
+        a, b = (iid_posterior([850, 130, 20], n_draws=100, seed=9) for _ in range(2))
+        assert np.array_equal(a.draws, b.draws)
+        assert not np.array_equal(a.draws, iid_posterior([850, 130, 20], 100, seed=10).draws)
 
 
 class TestEffectiveSampleSize:

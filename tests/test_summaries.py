@@ -6,6 +6,7 @@ import pytest
 import scipy.stats as ss
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chainuq.chains import count_transitions, index_chain
 from chainuq.errors import ConfigError, LabelError
@@ -293,4 +294,29 @@ def test_sample_stats_match_numpy_bit_for_bit(seed, n_models, n_draws, one_d, sc
     assert ours.keys() == reference.keys()
     for key in ours:
         assert type(ours[key]) is type(reference[key])
+        assert np.array_equal(ours[key], reference[key], equal_nan=True), key
+
+
+# entries where a column's extrema are easy to get wrong: NaN, signed zeros, subnormals
+AWKWARD = st.one_of(
+    st.sampled_from([math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def awkward_samples(draw):
+    """(R, I*) arrays of awkward entries, I* from 1 to 60, some columns all NaN."""
+    n_draws, n_models = draw(st.integers(1, 40)), draw(st.integers(1, 60))
+    samples = draw(arrays(np.float64, (n_draws, n_models), elements=AWKWARD))
+    samples[:, draw(st.lists(st.integers(0, n_models - 1), max_size=3))] = math.nan
+    return samples
+
+
+@given(awkward_samples(), st.booleans())
+def test_sample_stats_scale_from_the_sorted_ends_as_from_abs_max(samples, one_d):
+    # the reference takes each column's scale from np.abs(samples).max(axis=0)
+    samples = samples[:, 0] if one_d else samples
+    ours, reference = _sample_stats(samples, 0.05, 0.95), sample_stats_with_numpy(samples, 0.05, 0.95)
+    for key in ours:
         assert np.array_equal(ours[key], reference[key], equal_nan=True), key
