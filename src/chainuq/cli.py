@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -90,7 +91,7 @@ def _parse_epsilon(text: str) -> PriorSpec:
         try:
             with warnings.catch_warnings():  # an empty file is reported below instead
                 warnings.simplefilter("ignore")
-                matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+                matrix = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read epsilon matrix from {path!r}: {exc}") from None
         if matrix.size == 0:
@@ -481,6 +482,11 @@ def render_csv(report: dict) -> str:
     return out.getvalue()
 
 
+def _check_out(path: str) -> None:
+    if path != "-" and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ConfigError(f"--out {path!r} is a directory or lies in a missing directory")
+
+
 def _write_output(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -500,6 +506,7 @@ def _run_analyze(args) -> int:
     bf_pairs = [_parse_pair(p) for p in args.bf]
     declared = _parse_labels(args.declared)
     _check_settings(args.draws, seed, levels, args.top_k, declared, subsets)
+    _check_out(args.out)
     # files are read concurrently but joined, and their errors raised, in argument order
     parts = map_units(lambda path: read_chain_file(path, args.format), args.input)
     for path, part in zip(args.input, parts):  # name the file before any counting
@@ -535,6 +542,7 @@ def _run_analyze(args) -> int:
 
 
 def _run_bench(args) -> int:
+    _check_out(args.out)
     # run_coverage_experiment checks every setting before its first replication
     result = run_coverage_experiment(
         _parse_floats(args.pi, "--pi"),

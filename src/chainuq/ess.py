@@ -63,7 +63,7 @@ def iid_posterior(visit_counts, n_draws: int = 1000, seed: int = 0) -> IidPoster
         raise EmptyChainError("all visit counts are zero")
     if n_draws < 1 or seed < 0:
         raise ConfigError(f"n_draws must be >= 1 and seed >= 0, got {n_draws} and {seed}")
-    draws = _dirichlet_rows(n, [np.random.default_rng(seed)], n_draws)
+    draws = _dirichlet_rows(n, [np.random.default_rng(seed)], n_draws).T.copy()
     return IidPosterior(concentrations=n, draws=draws)
 
 

@@ -16,12 +16,12 @@ import numpy as np
 from ._pool import map_units
 from .chains import TransitionCounts
 from .errors import ConfigError, DegenerateRowError, NoUniqueStationaryError
-from .stationary import REJECTED, _require_unique, _solve_stack
+from .stationary import REJECTED, _column_sums, _require_unique, _solve_stack
 
 # Draws per spawned RNG stream. Blocks are always generated whole, so the
 # layout does not depend on R.
 BLOCK_DRAWS = 256
-# Cap on the cells of one (B, I*, I*) block, so that large I* shrinks the
+# Cap on the cells of one (I*, I*, B) block, so that large I* shrinks the
 # block instead of the memory growing as I*^2; below I* = 129 it never binds.
 BLOCK_CELLS = 1 << 22
 # Cells of a work unit: consecutive blocks share one row transform and one
@@ -155,15 +155,15 @@ class PosteriorDraws:
 
 
 def _dirichlet_rows(shapes: np.ndarray, rngs, per_rng: int) -> np.ndarray:
-    """``per_rng`` row-normalized gamma matrices from each generator, stacked.
+    """``per_rng`` row-normalized gamma matrices from each generator, on the last axis.
 
-    A vector of shapes gives rows instead of matrices.
+    (I, I) shapes give an (I, I, B) stack and (I,) shapes an (I, B) one.
     Generator i fills the i-th run of ``per_rng`` matrices with three calls:
     gammas at the shapes >= 1, at the boosted small shapes, then uniforms.
     A shape below one uses G_a = G_{a+1} * U^(1/a) in log space, so tiny
     shapes never underflow; shape 0 gives -inf, a point mass at zero. Each
-    step is elementwise or along a row, so a matrix gets the same bits in
-    any stack. The raw variates die on return, before the caller's solve.
+    step is elementwise or along a row, summed in cell order, so a matrix
+    gets the same bits in any stack. The raw variates die before the solve.
     """
     shapes = np.asarray(shapes, dtype=float)
     small = (shapes > 0) & (shapes < 1.0)
@@ -182,18 +182,15 @@ def _dirichlet_rows(shapes: np.ndarray, rngs, per_rng: int) -> np.ndarray:
         if small_boosted.size:
             rng.standard_gamma(small_boosted, out=boosted[rows])
             rng.random(out=uniform[rows])
-    w = np.full((n_matrices,) + shapes.shape, -np.inf)
+    w = np.full(shapes.shape + (n_matrices,), -np.inf)
     if large_shapes.size:
-        w[:, large] = np.log(gammas)
+        w[large] = np.log(gammas).T
     if small_boosted.size:
         # log of a Uniform(0, 1] variate; avoids log(0)
-        w[:, small] = np.log(boosted) + np.log1p(-uniform) * small_inverse
-    # row maxima down the columns of a transposed copy: the same values as
-    # w.max(axis=-1), which spends about 50 ns on each short row
-    top = np.ascontiguousarray(w.reshape(-1, w.shape[-1]).T).max(axis=0)
-    w -= top.reshape(w.shape[:-1] + (1,))
+        w[small] = (np.log(boosted) + np.log1p(-uniform) * small_inverse).T
+    w -= w.max(axis=-2, keepdims=True)
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= _column_sums(w)[..., None, :]
     return w
 
 
@@ -219,7 +216,7 @@ def sample_transition_matrix(
     DegenerateRowError
         If some row has neither counts nor prior weight anywhere.
     """
-    return _dirichlet_rows(_posterior_shapes(counts, prior), [rng], 1)[0]
+    return _dirichlet_rows(_posterior_shapes(counts, prior), [rng], 1)[..., 0]
 
 
 def _block_draws(n_models: int) -> int:
@@ -296,7 +293,7 @@ def draw_posterior(
     def fill(unit):
         start, stop = unit.start * block, min(unit.stop * block, n_draws)
         rngs = [np.random.default_rng(streams[k]) for k in unit]
-        pi, ok = _solve_stack(_dirichlet_rows(shapes, rngs, block)[: stop - start])
+        pi, ok = _solve_stack(_dirichlet_rows(shapes, rngs, block)[..., : stop - start])
         if not ok.all():
             raise NoUniqueStationaryError(f"draw {start + int(np.argmin(ok))}: {REJECTED}")
         out[start:stop] = pi

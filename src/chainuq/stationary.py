@@ -98,18 +98,18 @@ def _require_unique(support: np.ndarray) -> None:
 
 
 def _column_sums(v: np.ndarray) -> np.ndarray:
-    """Column sums of a (k, B) array in row order; numpy sums a lone column pairwise."""
-    if v.shape[1] > 1:
-        return v.sum(axis=0)
-    return np.add.accumulate(v[:, 0])[-1:]
+    """Sums down axis -2 of a (..., k, B) stack in row order; numpy sums a lone column pairwise."""
+    if v.shape[-1] > 1:
+        return v.sum(axis=-2)
+    return np.add.accumulate(v, axis=-2)[..., -1, :]
 
 
 def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary vectors of a (B, I, I) stack by GTH elimination; ``p`` is not modified.
+    """Stationary vectors of an (I, I, B) stack by GTH elimination; ``p`` is not modified.
 
-    The elimination runs on an (I, I, B) copy, one rank-1 update over the
-    stack per pivot. Step k = I-1, ..., 1 censors state k out of the chain on
-    0..k: it divides row k by the state's outflow s_k to lower states, summed
+    Matrix b is ``p[..., b]``; one contiguous copy takes one rank-1 update
+    per pivot. Step k = I-1, ..., 1 censors state k out of the chain on 0..k:
+    it divides row k by the state's outflow s_k to lower states, summed
     rather than formed as 1 - p[k, k], so every entry of the row stays <= 1
     even when s_k is subnormal. With no subtraction every component keeps
     its relative accuracy. A zero outflow means k reaches no lower state;
@@ -120,11 +120,11 @@ def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x[:k] . a[:k, k] / s_k, scaling x[:k] down instead wherever that would
     exceed 1, so no x overflows. Sums run in state order for every stack
     size, so a member's bits do not depend on the stack around it. Returns
-    ``(pi, ok)``: ``pi[i]`` is valid where ``ok[i]``, i.e. where its
-    residual ``|pi P - pi|`` is within 1e-8 (NaN fails).
+    ``(pi, ok)``: ``pi[b]``, of shape (B, I), is valid where ``ok[b]``, i.e.
+    where its residual ``|pi P - pi|`` is within 1e-8 (NaN fails).
     """
-    b, n, _ = p.shape
-    a = np.moveaxis(p, 0, -1).copy()
+    n, _, b = p.shape
+    a = p.copy()
     outflow = np.zeros((n, b))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, 0, -1):
@@ -141,9 +141,9 @@ def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             t = np.maximum(dot, outflow[k])
             x[:k] *= outflow[k] / t
             x[k] = dot / t
-        pi = (x / _column_sums(x)).T
-        residual = np.abs((pi[:, None, :] @ p)[:, 0, :] - pi)
-    return pi, (residual <= RESIDUAL_TOL).all(axis=1)
+        x /= _column_sums(x)
+        residual = np.abs(np.einsum("ib,ijb->jb", x, p) - x)
+    return x.T, (residual <= RESIDUAL_TOL).all(axis=0)
 
 
 def stationary(matrix) -> np.ndarray:
@@ -170,7 +170,7 @@ def stationary(matrix) -> np.ndarray:
     """
     p = _validated(matrix)
     _require_unique(p)
-    pi, ok = _solve_stack(p[None])
+    pi, ok = _solve_stack(p[..., None])
     if not ok[0]:
         raise NoUniqueStationaryError(REJECTED)
     return pi[0]

@@ -176,7 +176,7 @@ def test_criterion_06_stationary_solver_equivalence():
 def test_criterion_07_dirichlet_fit_recovery():
     rng = np.random.default_rng(707)
     alpha = np.array([5.0, 3.0, 2.0])
-    samples = _dirichlet_rows(alpha, [rng], 100_000)
+    samples = _dirichlet_rows(alpha, [rng], 100_000).T
     fit = fit_dirichlet(samples)
     rel_err = float(np.abs(fit.alpha - alpha).max() / alpha.min())
     within = bool(np.all(np.abs(fit.alpha - alpha) / alpha < 0.05))

@@ -569,6 +569,36 @@ def test_matrix_epsilon_policy(tmp_path, chain_file, capsys):
     assert report["config"]["epsilon_total_mass"] == 2.0
 
 
+def test_matrix_epsilon_file_with_a_byte_order_mark(tmp_path, chain_file, capsys):
+    plain, marked = tmp_path / "eps.csv", tmp_path / "eps-bom.csv"
+    plain.write_text("0.5,1\n1,0.25\n", encoding="utf-8")
+    marked.write_text("0.5,1\n1,0.25\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    args = ["analyze", "--input", str(chain_file), "--seed", "1", "--draws", "100", "--epsilon"]
+    reports = [run_json(capsys, args + [f"matrix:{path}"]) for path in (plain, marked)]
+    for report in reports:
+        del report["config"]["epsilon_policy"]  # names the file
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("out", ["", "missing/report.json"])
+def test_analyze_bad_out_exits_3_before_reading(tmp_path, capsys, out):
+    path = str(tmp_path / out)
+    assert main(["analyze", "--input", "/nonexistent.csv", "--out", path]) == 3
+    assert capsys.readouterr().err == (
+        f"chainuq: config error: --out {path!r} is a directory or lies in a missing directory\n"
+    )
+
+
+@pytest.mark.parametrize("out", ["", "missing/cov"])
+def test_bench_bad_out_exits_3_before_any_replication(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.setattr("chainuq.cli.run_coverage_experiment", lambda *a, **k: pytest.fail())
+    path = str(tmp_path / out)
+    assert main(["bench", "--replications", "1", "--out", path]) == 3
+    assert "--out" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
 def test_bench_smoke_writes_both_files(tmp_path, capsys):
     prefix = tmp_path / "cov"
     code = main(

@@ -89,7 +89,7 @@ def test_inverse_digamma_grid_round_trip():
 def test_fit_recovers_known_shapes():
     rng = np.random.default_rng(2024)
     alpha = np.array([5.0, 3.0, 2.0])
-    samples = _dirichlet_rows(alpha, [rng], 100_000)
+    samples = _dirichlet_rows(alpha, [rng], 100_000).T
     # sanity-check the sampler itself against the Beta marginal moments
     mean = samples.mean(axis=0)
     assert np.abs(mean - alpha / alpha.sum()).max() < 0.005
@@ -104,7 +104,7 @@ def test_fit_recovers_known_shapes():
 
 def test_fit_recovers_uniform_simplex():
     rng = np.random.default_rng(7)
-    samples = _dirichlet_rows(np.ones(2), [rng], 100_000)
+    samples = _dirichlet_rows(np.ones(2), [rng], 100_000).T
     fit = fit_dirichlet(samples)
     assert fit.converged
     assert np.all(np.abs(fit.alpha - 1.0) < 0.05)
@@ -113,7 +113,7 @@ def test_fit_recovers_uniform_simplex():
 @pytest.mark.parametrize("scale", [0.5, 2.0, 10.0])
 def test_fit_recovers_symmetric_scale(scale):
     rng = np.random.default_rng(int(scale * 100))
-    samples = _dirichlet_rows(np.full(3, scale), [rng], 100_000)
+    samples = _dirichlet_rows(np.full(3, scale), [rng], 100_000).T
     fit = fit_dirichlet(samples)
     assert fit.converged
     assert np.all(np.abs(fit.alpha - scale) / scale < 0.05)
@@ -132,7 +132,7 @@ def test_fit_concentrated_samples_diverges_or_flags():
 
 def test_fit_log_likelihood_never_decreases():
     rng = np.random.default_rng(11)
-    samples = _dirichlet_rows(np.array([0.4, 1.5, 6.0]), [rng], 5000)
+    samples = _dirichlet_rows(np.array([0.4, 1.5, 6.0]), [rng], 5000).T
     fit = fit_dirichlet(samples)
     diffs = np.diff(fit.log_likelihood_path)
     # allow rounding noise relative to the magnitude of the log-likelihood
@@ -142,7 +142,7 @@ def test_fit_log_likelihood_never_decreases():
 
 def test_fit_fixed_point_self_consistency():
     rng = np.random.default_rng(3)
-    samples = _dirichlet_rows(np.array([2.0, 5.0]), [rng], 20_000)
+    samples = _dirichlet_rows(np.array([2.0, 5.0]), [rng], 20_000).T
     fit = fit_dirichlet(samples)
     assert fit.converged
     mean_log = np.log(samples).mean(axis=0)
@@ -205,7 +205,7 @@ def test_column_range_equals_min_and_max_down_the_columns(samples, nan_columns):
 
 def test_fit_clamps_occasional_zero_entries():
     rng = np.random.default_rng(21)
-    samples = _dirichlet_rows(np.array([3.0, 1.0]), [rng], 500)
+    samples = _dirichlet_rows(np.array([3.0, 1.0]), [rng], 500).T
     samples = np.array(samples)
     samples[0, 1] = 0.0
     samples[0, 0] = 1.0
@@ -336,7 +336,7 @@ def assert_same_fit(fit, reference):
 )
 def test_fit_matches_array_newton_bit_for_bit(seed, n_models, n_samples, zero_share):
     rng = np.random.default_rng(seed)
-    samples = _dirichlet_rows(rng.uniform(0.05, 20.0, n_models), [rng], n_samples)
+    samples = _dirichlet_rows(rng.uniform(0.05, 20.0, n_models), [rng], n_samples).T
     # zeroed entries are clamped; row 0 keeps every component alive
     samples[1:][rng.random((n_samples - 1, n_models)) < zero_share] = 0.0
     assert_same_fit(fit_dirichlet(samples), fit_on_arrays(samples))

@@ -504,7 +504,7 @@ def per_block_draws(counts, n_draws, seed):
     for k, stream in enumerate(streams):
         start = k * block
         rows = sampling._dirichlet_rows(shapes, [np.random.default_rng(stream)], block)
-        pi, ok = sampling._solve_stack(rows[: n_draws - start])
+        pi, ok = sampling._solve_stack(rows[..., : n_draws - start])
         assert ok.all()
         parts.append(pi)
     return np.concatenate(parts)
@@ -519,10 +519,71 @@ def test_dirichlet_rows_over_many_generators_stack_the_one_generator_calls(per_r
     seeds = np.random.SeedSequence(11).spawn(4)
     stacked = sampling._dirichlet_rows(shapes, [np.random.default_rng(s) for s in seeds], per_rng)
     alone = [sampling._dirichlet_rows(shapes, [np.random.default_rng(s)], per_rng) for s in seeds]
-    assert stacked.shape == (4 * per_rng, 4, 4)
-    assert np.array_equal(stacked, np.concatenate(alone))
-    assert np.all(stacked[:, shapes == 0] == 0)
-    assert np.all(stacked[:, 3, 3] == 1)
+    assert stacked.shape == (4, 4, 4 * per_rng)
+    assert np.array_equal(stacked, np.concatenate(alone, axis=-1))
+    assert np.all(stacked[shapes == 0] == 0)
+    assert np.all(stacked[3, 3] == 1)
+
+
+def stack_first_rows(shapes, rngs, per_rng):
+    """The row kernel as it stood with the stack axis first: (B, I, I) or (B, I)."""
+    shapes = np.asarray(shapes, dtype=float)
+    small = (shapes > 0) & (shapes < 1.0)
+    large = shapes >= 1.0
+    n_matrices = len(rngs) * per_rng
+    gammas = np.empty((n_matrices, int(large.sum())))
+    boosted = np.empty((n_matrices, int(small.sum())))
+    uniform = np.empty_like(boosted)
+    for i, rng in enumerate(rngs):
+        rows = slice(i * per_rng, (i + 1) * per_rng)
+        if gammas.size:
+            rng.standard_gamma(shapes[large], out=gammas[rows])
+        if boosted.size:
+            rng.standard_gamma(shapes[small] + 1.0, out=boosted[rows])
+            rng.random(out=uniform[rows])
+    w = np.full((n_matrices,) + shapes.shape, -np.inf)
+    if gammas.size:
+        w[:, large] = np.log(gammas)
+    if boosted.size:
+        w[:, small] = np.log(boosted) + np.log1p(-uniform) * (1.0 / shapes[small])
+    top = np.ascontiguousarray(w.reshape(-1, w.shape[-1]).T).max(axis=0)
+    w -= top.reshape(w.shape[:-1] + (1,))
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 16),
+    matrix=st.booleans(),
+    n_rngs=st.sampled_from([1, 3]),
+    per_rng=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_stack_last_rows_match_the_stack_first_transform(n, matrix, n_rngs, per_rng, seed, data):
+    # the same generator calls in the same order; only the row sum's order may
+    # differ, and only once a row spans 8 cells, where numpy sums pairwise
+    shape = (n, n) if matrix else (n,)
+    values = st.sampled_from([0.0, 1e-300, 0.3, 1.0, 2.5, 1e5])
+    cells = data.draw(st.lists(values, min_size=n ** len(shape), max_size=n ** len(shape)))
+    shapes = np.array(cells).reshape(shape)
+    rows = shapes.reshape(-1, n)
+    rows[~(rows > 0).any(axis=1), 0] = 1.0  # every row keeps some weight
+    seeds = np.random.SeedSequence(seed).spawn(n_rngs)
+    old = stack_first_rows(shapes, [np.random.default_rng(s) for s in seeds], per_rng)
+    new = sampling._dirichlet_rows(shapes, [np.random.default_rng(s) for s in seeds], per_rng)
+    assert new.shape == shape + (n_rngs * per_rng,)
+    # each generator's run alone, a lone matrix included, gets the bits it gets in the stack
+    alone = [sampling._dirichlet_rows(shapes, [np.random.default_rng(s)], per_rng) for s in seeds]
+    assert np.array_equal(np.concatenate(alone, axis=-1), new)
+    new = np.moveaxis(new, -1, 0)
+    if n <= 7:
+        assert np.array_equal(new, old)
+    else:
+        assert np.array_equal(new == 0, old == 0)
+        assert np.all(np.abs(new - old) <= 2 * n * np.finfo(float).eps * old)
 
 
 @pytest.mark.parametrize("n_draws", [1, 255, 257, 1000, 7300])
@@ -543,12 +604,12 @@ def test_rejected_draw_is_named_by_its_global_index(monkeypatch, pool_cells):
     counts = make_counts([[40, 12, 3], [9, 50, 6], [4, 7, 33]])
     shapes = sampling._posterior_shapes(counts, PriorSpec.default())
     stream = np.random.SeedSequence(5).spawn(3)[2]
-    target = sampling._dirichlet_rows(shapes, [np.random.default_rng(stream)], 256)[600 - 512]
+    target = sampling._dirichlet_rows(shapes, [np.random.default_rng(stream)], 256)[..., 600 - 512]
     solve = sampling._solve_stack
 
     def reject_target(p):
         pi, ok = solve(p)
-        return pi, ok & ~(p == target).all(axis=(1, 2))
+        return pi, ok & ~(p == target[..., None]).all(axis=(0, 1))
 
     monkeypatch.setattr(sampling, "_solve_stack", reject_target)
     monkeypatch.setattr(sampling, "POOL_CELLS", pool_cells)

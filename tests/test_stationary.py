@@ -250,12 +250,12 @@ def test_stack_members_match_single_matrix_solves():
         _with_transient_state([[0.5, 0.5], [0.0, 1.0]]),
         [[0.2, 0.3, 0.5], [0.0, 0.5, 0.5], [0.0, 0.4, 0.6]],
         *(_with_transient_state(p) for p in NEARLY_DECOMPOSABLE.values()),
-    ])
+    ], axis=-1)
     before = stack.copy()
     pi, ok = _solve_stack(stack)
     assert ok.all()
     assert np.array_equal(stack, before)
-    for member, got in zip(stack, pi):
+    for member, got in zip(np.moveaxis(stack, -1, 0), pi):
         assert np.array_equal(got, stationary(member))
     assert pi[1].tolist() == [0.0, 1.0, 0.0]
     assert pi[2, 0] == 0.0
@@ -263,10 +263,10 @@ def test_stack_members_match_single_matrix_solves():
     # numpy sums a lone column pairwise from 8 terms up; the kernel must not
     for n in (9, 47, 200):
         rng = np.random.default_rng(n)
-        stack = np.stack([random_stochastic(rng, n) for _ in range(3)])
+        stack = np.stack([random_stochastic(rng, n) for _ in range(3)], axis=-1)
         pi, ok = _solve_stack(stack)
         assert ok.all()
-        for member, got in zip(stack, pi):
+        for member, got in zip(np.moveaxis(stack, -1, 0), pi):
             assert np.array_equal(got, stationary(member))
 
 
@@ -297,8 +297,8 @@ def test_stacked_solve_equals_per_block_solves(n):
     transient[:, 1:, 0] = 0.0  # state 0 is never entered
     transient /= transient.sum(axis=-1, keepdims=True)
     blocks = [dense, dense[4:], zeros, transient, dense[:2]]
-    pi, ok = _solve_stack(np.concatenate(blocks))
-    parts = [_solve_stack(block) for block in blocks]
+    pi, ok = _solve_stack(np.concatenate(blocks).transpose(1, 2, 0))
+    parts = [_solve_stack(block.transpose(1, 2, 0)) for block in blocks]
     assert np.array_equal(pi, np.concatenate([part for part, _ in parts]))
     assert np.array_equal(ok, np.concatenate([flags for _, flags in parts]))
     assert (zeros == 0).any() and (pi[-5:-2, 0] == 0.0).all()
