@@ -564,7 +564,8 @@ def stack_first_rows(shapes, rngs, per_rng):
 )
 def test_stack_last_rows_match_the_stack_first_transform(n, matrix, n_rngs, per_rng, seed, data):
     # the same generator calls in the same order; only the row sum's order may
-    # differ, and only once a row spans 8 cells, where numpy sums pairwise
+    # differ, and only once a row spans 8 cells, where the reference's
+    # contiguous sum turns pairwise
     shape = (n, n) if matrix else (n,)
     values = st.sampled_from([0.0, 1e-300, 0.3, 1.0, 2.5, 1e5])
     cells = data.draw(st.lists(values, min_size=n ** len(shape), max_size=n ** len(shape)))
