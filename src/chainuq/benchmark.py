@@ -282,9 +282,9 @@ def run_coverage_experiment(
             states = np.asarray(counts.labels) - 1
             ipost = iid_posterior(np.bincount(states, counts.visits, minlength=n_states),
                                   n_draws, iid_seed)
-            # one pass over the I* Markov columns, then the n_states i.i.d. ones;
-            # each column's statistics depend on that column alone
-            stats = _sample_stats(np.hstack([draws.draws, ipost.draws]), lo, hi)
+            # one pass over the I* Markov models, then the n_states i.i.d. ones;
+            # each model's statistics depend on its own draws alone
+            stats = _sample_stats(np.vstack([draws.draws.T, ipost.draws.T]).T, lo, hi)
             both = np.array([stats["sd"], stats["lower"], stats["upper"]])
             markov = np.zeros((3, n_states))
             markov[:, states] = both[:, : states.size]

@@ -31,7 +31,7 @@ from .ess import EXCESS_RATIO, effective_sample_size
 from .sampling import PriorSpec, draw_posterior
 from .stationary import classify_support
 from .summaries import (
-    DEFAULT_LEVELS, _check_levels, _reject_repeats, bayes_factors, rank_stability,
+    DEFAULT_LEVELS, _check_levels, _model_indices, _reject_repeats, bayes_factors, rank_stability,
     subset_probability, summarize,
 )
 
@@ -251,10 +251,13 @@ def analyze_chains(
         not 0 < lo < hi < 1, or ``k_top`` is below 1; checked before counting.
     LabelError
         If ``declared`` or a subset names a model more than once, or a
-        subset name is empty or repeated.
+        subset name is empty or repeated; or, checked after counting but
+        before any draw, a Bayes-factor pair or subset names an unobserved model.
     """
     _check_settings(n_draws, seed, levels, k_top, declared, subsets)
     counts = merge_counts([count_transitions(c) for c in chains])
+    wanted = [lab for pair in bf_pairs for lab in pair] + [lab for _, m in subsets for lab in m]
+    _model_indices(counts, wanted)  # an unknown --bf or --subset label fails before any draw
     draws = draw_posterior(counts, prior, n_draws=n_draws, seed=seed)
     summary = summarize(draws, levels=levels)
     ess_est = effective_sample_size(draws)
@@ -542,7 +545,8 @@ def _run_analyze(args) -> int:
 
 
 def _run_bench(args) -> int:
-    _check_out(args.out)
+    for path in (args.out, f"{args.out}.csv", f"{args.out}.json"):
+        _check_out(path)
     # run_coverage_experiment checks every setting before its first replication
     result = run_coverage_experiment(
         _parse_floats(args.pi, "--pi"),

@@ -152,18 +152,12 @@ def fit_dirichlet(samples) -> DirichletFit:
     return _fit(x, range(x.shape[1]))
 
 
-def _column_range(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x.min(axis=0), x.max(axis=0)``, NaN included; 8x faster at R = 1000, I* = 3."""
-    rows = x.T.copy()  # reduce along contiguous rows, not across R short ones
-    return rows.min(axis=1), rows.max(axis=1)
-
-
 def _fit(x: np.ndarray, names) -> DirichletFit:
     """`fit_dirichlet` of a 2-d float array; ``names[i]`` names component i in errors."""
     n_samples, n_components = x.shape
     if n_samples < 2:
         raise DegenerateSamplesError("at least two samples are required")
-    lowest, highest = _column_range(x)
+    lowest, highest = x.min(axis=0), x.max(axis=0)  # NaN propagates to both
     if not ((lowest >= 0) & (highest < math.inf)).all():
         raise DegenerateSamplesError("samples must be finite and nonnegative")
     dead = [names[i] for i in np.flatnonzero(highest < SAMPLE_CLAMP).tolist()]

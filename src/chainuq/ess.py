@@ -28,7 +28,8 @@ class IidPosterior:
 
     ``draws`` holds R rows of Dirichlet(``concentrations``), the raw visit
     counts (improper Dirichlet(0,...,0) prior): a model never visited is
-    exactly 0 in every draw, and a lone visited model exactly 1.
+    exactly 0 in every draw, and a lone visited model exactly 1. ``draws`` is
+    the (R, I) transpose of the row kernel's C-contiguous (I, R) output.
     """
 
     concentrations: np.ndarray
@@ -63,8 +64,8 @@ def iid_posterior(visit_counts, n_draws: int = 1000, seed: int = 0) -> IidPoster
         raise EmptyChainError("all visit counts are zero")
     if n_draws < 1 or seed < 0:
         raise ConfigError(f"n_draws must be >= 1 and seed >= 0, got {n_draws} and {seed}")
-    draws = _dirichlet_rows(n, [np.random.default_rng(seed)], n_draws).T.copy()
-    return IidPosterior(concentrations=n, draws=draws)
+    draws = _dirichlet_rows(n, [np.random.default_rng(seed)], n_draws)
+    return IidPosterior(concentrations=n, draws=draws.T)
 
 
 @dataclass(frozen=True)

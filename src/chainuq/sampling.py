@@ -118,7 +118,8 @@ class PosteriorDraws:
     Attributes
     ----------
     draws : ndarray, shape (R, I)
-        One simplex vector per draw, aligned with ``source.labels``.
+        One simplex vector per draw, aligned with ``source.labels``; the
+        read-only transpose of a C-contiguous (I, R) array, one row per model.
     seed : int
         Root seed the draws were generated from.
     prior : PriorSpec
@@ -238,7 +239,7 @@ def draw_posterior(
     are the unit of streams; work units group them. Consecutive blocks form
     units of up to ``POOL_CELLS`` cells (one block each from I* = 12 up),
     whose rows are normalised and solved once, and units run concurrently
-    on the CPUs the process may use, each writing its own rows. Every step
+    on the CPUs the process may use, each writing its own draws. Every step
     acts on one matrix at a time, so grouping changes no bit. Every matrix
     of a unit, zero entries included, goes through one stacked GTH
     elimination, unclamped; transient states get exactly zero mass.
@@ -288,7 +289,7 @@ def draw_posterior(
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
     per_unit = max(1, POOL_CELLS // (block * n * n))
     units = [range(a, min(a + per_unit, n_blocks)) for a in range(0, n_blocks, per_unit)]
-    out = np.empty((n_draws, n))
+    out = np.empty((n, n_draws))
 
     def fill(unit):
         start, stop = unit.start * block, min(unit.stop * block, n_draws)
@@ -296,8 +297,8 @@ def draw_posterior(
         pi, ok = _solve_stack(_dirichlet_rows(shapes, rngs, block)[..., : stop - start])
         if not ok.all():
             raise NoUniqueStationaryError(f"draw {start + int(np.argmin(ok))}: {REJECTED}")
-        out[start:stop] = pi
+        out[:, start:stop] = pi
 
     map_units(fill, units)
-    return PosteriorDraws(draws=out, seed=int(seed), prior=prior, source=counts)
+    return PosteriorDraws(draws=out.T, seed=int(seed), prior=prior, source=counts)
 

@@ -120,8 +120,8 @@ def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x[:k] . a[:k, k] / s_k, scaling x[:k] down instead wherever that would
     exceed 1, so no x overflows. Sums run in state order for every stack
     size, so a member's bits do not depend on the stack around it. Returns
-    ``(pi, ok)``: ``pi[b]``, of shape (B, I), is valid where ``ok[b]``, i.e.
-    where its residual ``|pi P - pi|`` is within 1e-8 (NaN fails).
+    ``(pi, ok)``: column b of the C-contiguous (I, B) ``pi`` is valid where
+    ``ok[b]``, i.e. where its residual ``|pi P - pi|`` is within 1e-8 (NaN fails).
     """
     n, _, b = p.shape
     a = p.copy()
@@ -143,7 +143,7 @@ def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             x[k] = dot / t
         x /= _column_sums(x)
         residual = np.abs(np.einsum("ib,ijb->jb", x, p) - x)
-    return x.T, (residual <= RESIDUAL_TOL).all(axis=0)
+    return x, (residual <= RESIDUAL_TOL).all(axis=0)
 
 
 def stationary(matrix) -> np.ndarray:
@@ -173,4 +173,4 @@ def stationary(matrix) -> np.ndarray:
     pi, ok = _solve_stack(p[..., None])
     if not ok[0]:
         raise NoUniqueStationaryError(REJECTED)
-    return pi[0]
+    return pi[:, 0]

@@ -120,6 +120,14 @@ class BayesFactorSummary:
         return self.n_zero_denominator > 0
 
 
+def _model_indices(counts, labels) -> list:
+    """Each label's model index in ``counts``; LabelError for the first label it lacks."""
+    for lab in labels:
+        if lab not in counts.label_to_index:
+            raise LabelError(f"unknown model label {lab!r}")
+    return [counts.label_to_index[lab] for lab in labels]
+
+
 def bayes_factors(
     draws: PosteriorDraws,
     pairs,
@@ -133,17 +141,14 @@ def bayes_factors(
     multiplied by the prior odds of the denominator over the numerator.
     """
     lo, hi = _check_levels(levels)
-    index = draws.source.label_to_index
     results = []
     for lab_i, lab_j in pairs:
-        for lab in (lab_i, lab_j):
-            if lab not in index:
-                raise LabelError(f"unknown model label {lab!r}")
+        i, j = _model_indices(draws.source, (lab_i, lab_j))
         factor = 1.0
         if prior_model_probs is not None:
             factor = _prior_prob(prior_model_probs, lab_j) / _prior_prob(prior_model_probs, lab_i)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratios = factor * draws.draws[:, index[lab_i]] / draws.draws[:, index[lab_j]]
+            ratios = factor * draws.draws[:, i] / draws.draws[:, j]
         finite = np.isfinite(ratios)
         ratios = ratios[finite]
         results.append(
@@ -207,13 +212,7 @@ def subset_probability(draws: PosteriorDraws, subset, levels=DEFAULT_LEVELS) -> 
     if not subset:
         raise LabelError("subset must name at least one model")
     _reject_repeats(subset, "subset")
-    index = draws.source.label_to_index
-    cols = []
-    for lab in subset:
-        if lab not in index:
-            raise LabelError(f"unknown model label {lab!r}")
-        cols.append(index[lab])
-    totals = draws.draws[:, cols].sum(axis=1)
+    totals = draws.draws[:, _model_indices(draws.source, subset)].sum(axis=1)
     return SubsetSummary(
         labels=subset, samples=totals, levels=(lo, hi), **_sample_stats(totals, lo, hi)
     )

@@ -281,8 +281,12 @@ def test_unknown_flag_exits_3(chain_file):
     assert main(["analyze", "--input", str(chain_file), "--bogus"]) == 3
 
 
-def test_unknown_bf_label_exits_3(chain_file, capsys):
-    assert main(["analyze", "--input", str(chain_file), "--bf", "A,Z"]) == 3
+def test_unknown_bf_label_exits_3(chain_file, capsys, monkeypatch):
+    # the labels are checked once counted, before any draw
+    monkeypatch.setattr("chainuq.cli.draw_posterior", lambda *a, **k: pytest.fail())
+    for flag, value in (("--bf", "A,Z"), ("--subset", "s=A,Z")):
+        assert main(["analyze", "--input", str(chain_file), flag, value]) == 3
+        assert capsys.readouterr().err == "chainuq: config error: unknown model label 'Z'\n"
 
 
 def test_subnormal_outflow_draws_do_not_fail(tmp_path, capsys):
@@ -590,13 +594,17 @@ def test_analyze_bad_out_exits_3_before_reading(tmp_path, capsys, out):
     )
 
 
-@pytest.mark.parametrize("out", ["", "missing/cov"])
+@pytest.mark.parametrize("out", ["", "missing/cov", "cov.csv", "cov.json"])
 def test_bench_bad_out_exits_3_before_any_replication(tmp_path, capsys, monkeypatch, out):
+    # "cov.csv" and "cov.json" are directories that block one of the files of prefix "cov"
     monkeypatch.setattr("chainuq.cli.run_coverage_experiment", lambda *a, **k: pytest.fail())
-    path = str(tmp_path / out)
+    blocked = [out] if out.endswith((".csv", ".json")) else []
+    for name in blocked:
+        (tmp_path / name).mkdir()
+    path = str(tmp_path / os.path.splitext(out)[0])
     assert main(["bench", "--replications", "1", "--out", path]) == 3
     assert "--out" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == []
+    assert [p.name for p in tmp_path.iterdir()] == blocked
 
 
 def test_bench_smoke_writes_both_files(tmp_path, capsys):

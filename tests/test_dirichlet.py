@@ -11,9 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from chainuq import dirichlet as dirichlet_module
 from chainuq.benchmark import MixtureChainSpec, generate_chain
 from chainuq.chains import count_transitions
-from chainuq.dirichlet import (
-    MAX_NEWTON_STEPS, _column_range, _invert_digamma, _psi_psi1, fit_dirichlet,
-)
+from chainuq.dirichlet import MAX_NEWTON_STEPS, _invert_digamma, _psi_psi1, fit_dirichlet
 from chainuq.errors import DegenerateSamplesError
 from chainuq.sampling import PriorSpec, _dirichlet_rows, draw_posterior
 
@@ -182,25 +180,6 @@ def test_fit_input_checks(bad, message):
     samples = np.array([[0.5, bad, 0.5], [0.5, 1e-301, 0.5], [0.2, 1e-301, 0.8]])
     with pytest.raises(DegenerateSamplesError, match=message):
         fit_dirichlet(samples)
-
-
-@given(
-    arrays(
-        np.float64,
-        st.tuples(st.integers(1, 40), st.integers(1, 60)),
-        elements=st.one_of(
-            st.sampled_from([math.nan, 0.0, -0.0, 5e-324, 2.5e-310, 1e-301, -1e-308]),
-            st.floats(-1.0, 1.0),
-        ),
-    ),
-    st.lists(st.integers(0, 59), max_size=3),
-)
-def test_column_range_equals_min_and_max_down_the_columns(samples, nan_columns):
-    samples[:, [i for i in nan_columns if i < samples.shape[1]]] = math.nan
-    lowest, highest = _column_range(samples)
-    # equal values, NaN included; a zero may differ in sign, which no check of the fit sees
-    assert np.array_equal(lowest, samples.min(axis=0), equal_nan=True)
-    assert np.array_equal(highest, samples.max(axis=0), equal_nan=True)
 
 
 def test_fit_clamps_occasional_zero_entries():

@@ -507,7 +507,7 @@ def per_block_draws(counts, n_draws, seed):
         pi, ok = sampling._solve_stack(rows[..., : n_draws - start])
         assert ok.all()
         parts.append(pi)
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=1).T
 
 
 @pytest.mark.parametrize("per_rng", [1, 3, 256])
@@ -595,7 +595,7 @@ def test_draws_match_a_plain_per_block_loop(n_models, n_draws):
     rng = np.random.default_rng(n_models)
     counts = make_counts(rng.integers(0, 5, size=(n_models, n_models)))
     draws = draw_posterior(counts, n_draws=n_draws, seed=n_draws).draws
-    assert draws.flags.c_contiguous
+    assert draws.T.flags.c_contiguous
     assert np.array_equal(draws, per_block_draws(counts, n_draws, n_draws))
 
 
@@ -618,3 +618,46 @@ def test_rejected_draw_is_named_by_its_global_index(monkeypatch, pool_cells):
         draw_posterior(counts, n_draws=1000, seed=5)
     assert type(err.value) is NoUniqueStationaryError
     assert str(err.value).startswith("draw 600: ")
+
+
+def test_draws_are_the_transpose_of_a_models_major_array():
+    counts = make_counts([[40, 12, 3], [9, 50, 6], [4, 7, 33]])
+    draws = draw_posterior(counts, n_draws=1000, seed=3).draws
+    assert draws.shape == (1000, 3) and draws.T.flags.c_contiguous
+    assert not draws.flags.writeable
+    with pytest.raises(ValueError):
+        draws[0, 0] = 0.5
+    iid = iid_posterior([40, 60, 0], n_draws=1000, seed=3).draws
+    assert iid.shape == (1000, 3) and iid.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n_models", [3, 12, 47])
+def test_reducers_agree_on_a_row_major_copy(n_models):
+    # the layout changes only the order of the sums along the draws. Over 20
+    # seeds at I* = 3, 12, 47 and R = 1000, 5000 a row-major copy moved means
+    # by at most 33 eps relative, SDs by 17 eps and t_eff by 1.9e4 eps
+    # (4.2e-12); the quantiles and every rank statistic kept their bits
+    rng = np.random.default_rng(n_models)
+    counts = make_counts(rng.integers(0, 30, size=(n_models, n_models)))
+    draws = draw_posterior(counts, n_draws=1000, seed=n_models)
+    copy = dataclasses.replace(draws, draws=np.ascontiguousarray(draws.draws))
+    assert copy.draws.flags.c_contiguous and np.array_equal(copy.draws, draws.draws)
+    labels = counts.labels
+    runs = [
+        (summarize(d), *bayes_factors(d, [(labels[0], labels[-1])]),
+         subset_probability(d, labels[: (n_models + 1) // 2]))
+        for d in (draws, copy)
+    ]
+    eps = np.finfo(float).eps
+    for got, want in zip(*runs):
+        for name in ("median", "lower", "upper"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name in ("mean", "sd"):
+            assert np.all(np.abs(getattr(got, name) - getattr(want, name))
+                          <= 64 * eps * np.abs(getattr(want, name)))
+    got, want = effective_sample_size(draws), effective_sample_size(copy)
+    assert abs(got.t_eff - want.t_eff) <= 1e-11 * want.t_eff
+    got, want = rank_stability(draws, k_top=3), rank_stability(copy, k_top=3)
+    for name in ("mean_rank", "sd_rank", "point_rank", "rank_distribution", "p_rank_within_top"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.p_top_order_reproduced == want.p_top_order_reproduced

@@ -255,18 +255,18 @@ def test_stack_members_match_single_matrix_solves():
     pi, ok = _solve_stack(stack)
     assert ok.all()
     assert np.array_equal(stack, before)
-    for member, got in zip(np.moveaxis(stack, -1, 0), pi):
+    for member, got in zip(np.moveaxis(stack, -1, 0), pi.T):
         assert np.array_equal(got, stationary(member))
-    assert pi[1].tolist() == [0.0, 1.0, 0.0]
-    assert pi[2, 0] == 0.0
-    assert (pi[3:, 2] == 0.0).all()
+    assert pi[:, 1].tolist() == [0.0, 1.0, 0.0]
+    assert pi[0, 2] == 0.0
+    assert (pi[2, 3:] == 0.0).all()
     # numpy sums a lone column pairwise from 8 terms up; the kernel must not
     for n in (9, 47, 200):
         rng = np.random.default_rng(n)
         stack = np.stack([random_stochastic(rng, n) for _ in range(3)], axis=-1)
         pi, ok = _solve_stack(stack)
         assert ok.all()
-        for member, got in zip(np.moveaxis(stack, -1, 0), pi):
+        for member, got in zip(np.moveaxis(stack, -1, 0), pi.T):
             assert np.array_equal(got, stationary(member))
 
 
@@ -299,6 +299,6 @@ def test_stacked_solve_equals_per_block_solves(n):
     blocks = [dense, dense[4:], zeros, transient, dense[:2]]
     pi, ok = _solve_stack(np.concatenate(blocks).transpose(1, 2, 0))
     parts = [_solve_stack(block.transpose(1, 2, 0)) for block in blocks]
-    assert np.array_equal(pi, np.concatenate([part for part, _ in parts]))
+    assert np.array_equal(pi, np.concatenate([part for part, _ in parts], axis=1))
     assert np.array_equal(ok, np.concatenate([flags for _, flags in parts]))
-    assert (zeros == 0).any() and (pi[-5:-2, 0] == 0.0).all()
+    assert (zeros == 0).any() and (pi[0, -5:-2] == 0.0).all()
