@@ -486,7 +486,8 @@ def render_csv(report: dict) -> str:
 
 
 def _check_out(path: str) -> None:
-    if path != "-" and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+    # an empty path names the working directory, as an empty dirname does
+    if path != "-" and (os.path.isdir(path or ".") or not os.path.isdir(os.path.dirname(path) or ".")):
         raise ConfigError(f"--out {path!r} is a directory or lies in a missing directory")
 
 

@@ -53,14 +53,17 @@ def iid_posterior(visit_counts, n_draws: int = 1000, seed: int = 0) -> IidPoster
     Raises
     ------
     EmptyChainError
-        If the visit counts are not a finite nonnegative vector, or all are zero.
+        If the visit counts are not a vector of zeros and positive normal floats
+        with a finite positive sum.
     ConfigError
         If ``n_draws`` is below 1 or ``seed`` is negative.
     """
     n = np.asarray(visit_counts, dtype=float)
-    if n.ndim != 1 or not np.all((n >= 0) & (n < np.inf)):  # NaN fails both
-        raise EmptyChainError("visit counts must be a nonnegative vector")
-    if n.sum() <= 0:
+    with np.errstate(over="ignore"):  # a total past DBL_MAX is rejected, not warned about
+        total = n.sum()
+    if n.ndim != 1 or not (np.all((n == 0) | (n >= np.finfo(float).tiny)) and total < np.inf):
+        raise EmptyChainError("visit counts must be a nonnegative vector, not subnormal, with a finite sum")
+    if total <= 0:
         raise EmptyChainError("all visit counts are zero")
     if n_draws < 1 or seed < 0:
         raise ConfigError(f"n_draws must be >= 1 and seed >= 0, got {n_draws} and {seed}")

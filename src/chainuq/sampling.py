@@ -2,9 +2,7 @@
 
 Rows of the transition matrix get independent Dirichlet priors; conjugacy
 with the observed transition counts makes each posterior row a Dirichlet
-draw, realized through unit-scale gamma variates. Gamma shapes below one are
-drawn in log space via the shape-boosting identity to avoid underflow at
-tiny prior weights.
+draw, made by numpy's ``Generator.dirichlet``.
 """
 
 from __future__ import annotations
@@ -64,15 +62,15 @@ class PriorSpec:
                 epsilon = float(self.epsilon)
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"epsilon must be a number, got {self.epsilon!r}") from None
-            if not np.isfinite(epsilon) or epsilon < 0:
-                raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+            if not (epsilon == 0 or np.finfo(float).tiny <= epsilon < np.inf):  # NaN fails both
+                raise ConfigError(f"epsilon must be finite and >= 0, not subnormal, got {self.epsilon!r}")
             object.__setattr__(self, "epsilon", epsilon)
         elif self.epsilon_matrix is not None:
             m = np.asarray(self.epsilon_matrix, dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ConfigError("epsilon_matrix must be square")
-            if np.any(m < 0) or not np.all(np.isfinite(m)):
-                raise ConfigError("epsilon_matrix entries must be finite and >= 0")
+            if not np.all((m == 0) | (np.finfo(float).tiny <= m) & (m < np.inf)):
+                raise ConfigError("epsilon_matrix entries must be finite and >= 0, not subnormal")
             object.__setattr__(self, "epsilon_matrix", m)
             m.flags.writeable = False
 
@@ -156,48 +154,31 @@ class PosteriorDraws:
 
 
 def _dirichlet_rows(shapes: np.ndarray, rngs, per_rng: int) -> np.ndarray:
-    """``per_rng`` row-normalized gamma matrices from each generator, on the last axis.
+    """``per_rng`` Dirichlet draws of every row of ``shapes`` from each generator, on the last axis.
 
     (I, I) shapes give an (I, I, B) stack and (I,) shapes an (I, B) one.
-    Generator i fills the i-th run of ``per_rng`` matrices with three calls:
-    gammas at the shapes >= 1, at the boosted small shapes, then uniforms.
-    A shape below one uses G_a = G_{a+1} * U^(1/a) in log space, so tiny
-    shapes never underflow; shape 0 gives -inf, a point mass at zero. Each
-    step is elementwise or along a row, summed in cell order, so a matrix
-    gets the same bits in any stack. The raw variates die before the solve.
+    Generator i fills the i-th run of ``per_rng`` draws with one
+    ``Generator.dirichlet`` call per row, in row order; numpy breaks sticks
+    over beta variates where every shape of a row is below 0.1, so tiny
+    shapes do not underflow. Each draw is then divided by its sum in cell
+    order: a zero shape gives exactly 0, a lone positive one exactly 1, and
+    a matrix gets the same bits in any stack.
     """
     shapes = np.asarray(shapes, dtype=float)
-    small = (shapes > 0) & (shapes < 1.0)
-    large = shapes >= 1.0
-    large_shapes = shapes[large]
-    small_boosted = shapes[small] + 1.0
-    small_inverse = 1.0 / shapes[small]
-    n_matrices = len(rngs) * per_rng
-    gammas = np.empty((n_matrices, large_shapes.size))
-    boosted = np.empty((n_matrices, small_boosted.size))
-    uniform = np.empty_like(boosted)
-    for i, rng in enumerate(rngs):
-        rows = slice(i * per_rng, (i + 1) * per_rng)
-        if large_shapes.size:
-            rng.standard_gamma(large_shapes, out=gammas[rows])
-        if small_boosted.size:
-            rng.standard_gamma(small_boosted, out=boosted[rows])
-            rng.random(out=uniform[rows])
-    w = np.full(shapes.shape + (n_matrices,), -np.inf)
-    if large_shapes.size:
-        w[large] = np.log(gammas).T
-    if small_boosted.size:
-        # log of a Uniform(0, 1] variate; avoids log(0)
-        w[small] = (np.log(boosted) + np.log1p(-uniform) * small_inverse).T
-    w -= w.max(axis=-2, keepdims=True)
-    np.exp(w, out=w)
+    w = np.empty(shapes.shape + (len(rngs) * per_rng,))
+    for row, out in zip(shapes.reshape(-1, shapes.shape[-1]), w.reshape(-1, *w.shape[-2:])):
+        out[...] = np.concatenate([rng.dirichlet(row, per_rng) for rng in rngs]).T
     w /= _column_sums(w)[..., None, :]
     return w
 
 
 def _posterior_shapes(counts: TransitionCounts, prior: PriorSpec) -> np.ndarray:
-    """Dirichlet shapes of the row posteriors, with the zero-row guard."""
-    shapes = counts.counts + prior.resolve(counts.n_models)
+    """Dirichlet shapes of the row posteriors, with the prior-mass and zero-row guards."""
+    weights = prior.resolve(counts.n_models)
+    with np.errstate(over="ignore"):  # else a row's gamma variates could sum past DBL_MAX
+        if not np.isfinite(weights.sum()):
+            raise ConfigError(f"prior weights over {counts.n_models} models sum past DBL_MAX (--epsilon)")
+    shapes = counts.counts + weights
     zero_rows = np.flatnonzero(~np.any(shapes > 0, axis=1))
     if zero_rows.size:
         raise DegenerateRowError(counts.labels[int(zero_rows[0])])
@@ -214,6 +195,8 @@ def sample_transition_matrix(
 
     Raises
     ------
+    ConfigError
+        If the prior's total mass is not finite.
     DegenerateRowError
         If some row has neither counts nor prior weight anywhere.
     """
@@ -233,8 +216,8 @@ def draw_posterior(
     """Draw stationary-distribution samples from the transition-matrix posterior.
 
     Draws come in blocks of 256 (fewer only when I* > 128, to bound memory).
-    Block k draws the raw variates of its transition matrices from its own
-    RNG stream, spawned from ``seed`` by block index, and every block is
+    Block k draws its transition matrices from its own RNG stream,
+    ``SeedSequence(seed).spawn(n)[k]`` made inside its unit, and every block is
     generated whole before the result is truncated to ``n_draws``. Blocks
     are the unit of streams; work units group them. Consecutive blocks form
     units of up to ``POOL_CELLS`` cells (one block each from I* = 12 up),
@@ -265,7 +248,8 @@ def draw_posterior(
     Raises
     ------
     ConfigError
-        If ``n_draws`` is below 1 or ``seed`` is negative.
+        If ``n_draws`` is below 1 or ``seed`` is negative, the prior's total
+        mass is not finite, or the (I*, R) output cannot be allocated.
     DegenerateRowError
         Propagated from row sampling.
     NoUniqueStationaryError
@@ -284,16 +268,18 @@ def draw_posterior(
         _require_unique(shapes)
     except NoUniqueStationaryError as exc:
         raise NoUniqueStationaryError(f"draw 0: {exc}") from exc
+    try:
+        out = np.empty((n, n_draws))
+    except (MemoryError, ValueError):  # numpy raises ValueError past 2**63 bytes
+        raise ConfigError(f"{n_draws} draws of {n} models do not fit in memory (--draws)") from None
     block = _block_draws(n)
     n_blocks = -(-n_draws // block)
-    streams = np.random.SeedSequence(seed).spawn(n_blocks)
     per_unit = max(1, POOL_CELLS // (block * n * n))
     units = [range(a, min(a + per_unit, n_blocks)) for a in range(0, n_blocks, per_unit)]
-    out = np.empty((n, n_draws))
 
     def fill(unit):
         start, stop = unit.start * block, min(unit.stop * block, n_draws)
-        rngs = [np.random.default_rng(streams[k]) for k in unit]
+        rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))) for k in unit]
         pi, ok = _solve_stack(_dirichlet_rows(shapes, rngs, block)[..., : stop - start])
         if not ok.all():
             raise NoUniqueStationaryError(f"draw {start + int(np.argmin(ok))}: {REJECTED}")

@@ -178,6 +178,24 @@ def test_non_finite_fixed_epsilon_exits_3(chain_file, capsys, value):
     assert "epsilon must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, code", [("1e308", 3), ("1e307", 0)])
+def test_prior_mass_past_the_largest_float_exits_3(chain_file, capsys, value, code):
+    # on two models 4e308 overflows a float and 4e307 does not
+    args = ["analyze", "--input", str(chain_file), "--draws", "50", "--epsilon", f"fixed:{value}"]
+    assert main(args) == code
+    assert ("--epsilon" in capsys.readouterr().err) == (code == 3)
+
+
+def test_subnormal_fixed_epsilon_exits_3(chain_file, capsys):
+    assert main(["analyze", "--input", str(chain_file), "--epsilon", "fixed:1e-310"]) == 3
+    assert "not subnormal" in capsys.readouterr().err
+
+
+def test_unallocatable_draw_count_exits_3_naming_draws(chain_file, capsys):
+    assert main(["analyze", "--input", str(chain_file), "--draws", str(10**15)]) == 3
+    assert "(--draws)" in capsys.readouterr().err
+
+
 def test_bad_ci_exits_3(chain_file):
     assert main(["analyze", "--input", str(chain_file), "--ci", "0.9,0.1"]) == 3
 
@@ -357,7 +375,7 @@ def test_readme_lists_every_warning_code():
                 {"code": "k_top_reduced", "message": "top-k reduced from 5 to the 2 observed models"},
                 {
                     "code": "ess_exceeds_iterations",
-                    "message": "t_eff = 85.0522 exceeds 1.5x the 50 chain iterations; "
+                    "message": "t_eff = 94.1066 exceeds 1.5x the 50 chain iterations; "
                                "reported as estimated, never truncated",
                 },
                 {
@@ -585,23 +603,26 @@ def test_matrix_epsilon_file_with_a_byte_order_mark(tmp_path, chain_file, capsys
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("out", ["", "missing/report.json"])
+@pytest.mark.parametrize("out", ["", "missing/report.json", None])
 def test_analyze_bad_out_exits_3_before_reading(tmp_path, capsys, out):
-    path = str(tmp_path / out)
+    # None is a literal empty --out, which names the working directory
+    path = "" if out is None else str(tmp_path / out)
     assert main(["analyze", "--input", "/nonexistent.csv", "--out", path]) == 3
     assert capsys.readouterr().err == (
         f"chainuq: config error: --out {path!r} is a directory or lies in a missing directory\n"
     )
 
 
-@pytest.mark.parametrize("out", ["", "missing/cov", "cov.csv", "cov.json"])
+@pytest.mark.parametrize("out", ["", "missing/cov", "cov.csv", "cov.json", None])
 def test_bench_bad_out_exits_3_before_any_replication(tmp_path, capsys, monkeypatch, out):
-    # "cov.csv" and "cov.json" are directories that block one of the files of prefix "cov"
+    # "cov.csv" and "cov.json" are directories that block one of the files of prefix "cov";
+    # None is a literal empty --out, which would write ".csv" and ".json" into the working directory
     monkeypatch.setattr("chainuq.cli.run_coverage_experiment", lambda *a, **k: pytest.fail())
-    blocked = [out] if out.endswith((".csv", ".json")) else []
+    monkeypatch.chdir(tmp_path)
+    blocked = [out] if out and out.endswith((".csv", ".json")) else []
     for name in blocked:
         (tmp_path / name).mkdir()
-    path = str(tmp_path / os.path.splitext(out)[0])
+    path = "" if out is None else str(tmp_path / os.path.splitext(out)[0])
     assert main(["bench", "--replications", "1", "--out", path]) == 3
     assert "--out" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == blocked

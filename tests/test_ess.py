@@ -67,6 +67,11 @@ class TestIidPosterior:
         with pytest.raises(EmptyChainError, match="nonnegative vector"):
             iid_posterior([bad, 3])
 
+    @pytest.mark.parametrize("visits", [[1e308, 1e308], [5e-324, 3]], ids=["infinite-sum", "subnormal"])
+    def test_counts_the_row_kernel_cannot_draw_rejected(self, visits):
+        with pytest.raises(EmptyChainError, match="nonnegative vector"):
+            iid_posterior(visits)
+
     @pytest.mark.parametrize("n_draws, seed", [(0, 1), (10, -1)])
     def test_bad_draw_settings_rejected(self, n_draws, seed):
         with pytest.raises(ConfigError, match="n_draws must be >= 1 and seed >= 0"):

@@ -3,6 +3,8 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +63,12 @@ class TestPriorSpec:
         with pytest.raises(ConfigError):
             PriorSpec.fixed(-0.1)
 
+    def test_subnormal_epsilon_rejected(self):
+        # numpy's beta variates lose their symmetry at shapes as small as 5e-324
+        with pytest.raises(ConfigError, match="not subnormal"):
+            PriorSpec.fixed(1e-310)
+        assert PriorSpec.fixed(np.finfo(float).tiny).epsilon == np.finfo(float).tiny
+
     def test_epsilon_field_is_the_fixed_rule(self):
         assert np.array_equal(PriorSpec(epsilon=0.5).resolve(3), np.full((3, 3), 0.5))
 
@@ -77,8 +85,9 @@ class TestPriorSpec:
             (np.ones((3, 2)), "must be square"),
             ([[1.0, -0.5], [1.0, 1.0]], "finite and >= 0"),
             ([[1.0, np.nan], [1.0, 1.0]], "finite and >= 0"),
+            ([[1.0, 1e-310], [1.0, 1.0]], "not subnormal"),
         ],
-        ids=["non-square", "negative", "nan"],
+        ids=["non-square", "negative", "nan", "subnormal"],
     )
     def test_bad_matrix_rejected(self, matrix, message):
         with pytest.raises(ConfigError, match=message):
@@ -525,30 +534,68 @@ def test_dirichlet_rows_over_many_generators_stack_the_one_generator_calls(per_r
     assert np.all(stacked[3, 3] == 1)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [(0.0, 2.0, 0.0, 3.0), (0.0, 0.05, 0.0, 1e-300), (1e-300, 0.05), (0.0, 7.0, 0.0), (0.0, 0.05), (0.5,)],
+    ids=["gammas-with-zeros", "sticks-with-zeros", "sticks", "lone-gamma", "lone-stick", "single"],
+)
+def test_dirichlet_rows_pin_what_generator_dirichlet_gives(row):
+    # a zero shape gives exact zeros and a lone positive shape exactly 1, on numpy's gamma
+    # path and on its stick-breaking path (every shape below 0.1), which stays finite
+    shapes = np.array(row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = sampling._dirichlet_rows(shapes, [np.random.default_rng(s) for s in range(3)], 500)
+    assert rows.shape == (len(row), 1500) and np.isfinite(rows).all()
+    assert np.all(rows[shapes == 0] == 0)
+    assert np.abs(rows.sum(axis=0) - 1.0).max() <= 4 * np.finfo(float).eps
+    if np.count_nonzero(shapes) == 1:
+        assert np.all(rows[shapes > 0] == 1.0)
+
+
+@pytest.mark.parametrize("n_models", [47, 200])
+def test_dirichlet_rows_peak_memory_is_about_one_block(n_models):
+    # the kernel holds one row's draws beside its output, not several stacks of its size
+    counts = np.random.default_rng(n_models).integers(0, 40, size=(n_models, n_models))
+    shapes = counts + 1.0 / n_models
+    block = sampling._block_draws(n_models)
+    assert block == {47: 256, 200: 104}[n_models]
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        rows = sampling._dirichlet_rows(shapes, [rng], block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * rows.nbytes
+
+
+@pytest.mark.parametrize("n_draws", [10**15, 10**19], ids=["petabytes", "past-2**63-bytes"])
+def test_unallocatable_draw_count_is_a_config_error(n_draws):
+    # the (I*, R) output is allocated before any stream or work unit is made
+    with pytest.raises(ConfigError, match="--draws"):
+        draw_posterior(make_counts([[3, 1], [1, 3]]), n_draws=n_draws)
+
+
+def test_prior_mass_past_the_largest_float_is_a_config_error():
+    counts = make_counts([[3, 1], [1, 3]])
+    for prior in (PriorSpec.fixed(1e308), PriorSpec.from_matrix([[1e308, 0], [0, 1e308]])):
+        with pytest.raises(ConfigError, match="--epsilon"):
+            draw_posterior(counts, prior, n_draws=10)
+        with pytest.raises(ConfigError, match="--epsilon"):
+            sample_transition_matrix(counts, prior, np.random.default_rng(0))
+    assert np.isfinite(draw_posterior(counts, PriorSpec.fixed(1e307), n_draws=10).draws).all()
+
+
 def stack_first_rows(shapes, rngs, per_rng):
-    """The row kernel as it stood with the stack axis first: (B, I, I) or (B, I)."""
+    """Plain Dirichlet rows with the stack axis first: (B, I, I) or (B, I).
+
+    Each generator draws each row in row order, and each draw is divided by its sum.
+    """
     shapes = np.asarray(shapes, dtype=float)
-    small = (shapes > 0) & (shapes < 1.0)
-    large = shapes >= 1.0
-    n_matrices = len(rngs) * per_rng
-    gammas = np.empty((n_matrices, int(large.sum())))
-    boosted = np.empty((n_matrices, int(small.sum())))
-    uniform = np.empty_like(boosted)
-    for i, rng in enumerate(rngs):
-        rows = slice(i * per_rng, (i + 1) * per_rng)
-        if gammas.size:
-            rng.standard_gamma(shapes[large], out=gammas[rows])
-        if boosted.size:
-            rng.standard_gamma(shapes[small] + 1.0, out=boosted[rows])
-            rng.random(out=uniform[rows])
-    w = np.full((n_matrices,) + shapes.shape, -np.inf)
-    if gammas.size:
-        w[:, large] = np.log(gammas)
-    if boosted.size:
-        w[:, small] = np.log(boosted) + np.log1p(-uniform) * (1.0 / shapes[small])
-    top = np.ascontiguousarray(w.reshape(-1, w.shape[-1]).T).max(axis=0)
-    w -= top.reshape(w.shape[:-1] + (1,))
-    np.exp(w, out=w)
+    rows = shapes.reshape(-1, shapes.shape[-1])
+    w = np.concatenate([np.stack([rng.dirichlet(row, per_rng) for row in rows], axis=1) for rng in rngs])
+    w = w.reshape((-1,) + shapes.shape)
     w /= w.sum(axis=-1, keepdims=True)
     return w
 
