@@ -24,7 +24,7 @@ import numpy as np
 from .chains import LabeledChain, count_transitions
 from .errors import ConfigError
 from .ess import effective_sample_size, iid_posterior
-from .sampling import PriorSpec, draw_posterior
+from .sampling import PriorSpec, _allocate, draw_posterior
 from .summaries import DEFAULT_LEVELS, _check_levels, _sample_stats
 
 
@@ -247,8 +247,8 @@ def run_coverage_experiment(
     ------
     ConfigError
         Before the first replication, for any setting out of range
-        (`MixtureChainSpec` checks ``pi_true`` and each beta) or a beta named
-        twice.
+        (`MixtureChainSpec` checks ``pi_true`` and each beta), a beta named
+        twice, or a chain or (I, R) draw array that numpy cannot allocate.
     """
     if iterations < 2 or replications < 1 or n_draws < 2:
         raise ConfigError("--iterations and --draws must be >= 2, --replications >= 1")
@@ -265,6 +265,8 @@ def run_coverage_experiment(
         raise ConfigError(f"--beta-grid names beta {repeated[0]!r} more than once")
     specs = [MixtureChainSpec(tuple(pi), beta, iterations) for beta in betas]
     prior = PriorSpec.default()
+    _allocate(iterations, f"a chain of {iterations} iterations does not fit in memory (--iterations)")
+    _allocate((n_states, n_draws), f"{n_draws} draws of {n_states} models do not fit in memory (--draws)")
 
     cells = []
     t_eff: dict = {}

@@ -3,8 +3,7 @@
 The fit's digamma and trigamma share one kernel, the recurrence shift to
 x >= 10 plus the asymptotic series (Bernardo 1976, Algorithm AS 103), on
 Python floats: faster than numpy on the fit's few-element arrays, and no
-scipy import. Digamma is inverted by Newton's method on Python floats too,
-from a start taken with numpy's exp.
+scipy import. Digamma is inverted by Newton's method on Python floats too.
 
 The fitter solves the likelihood equations of Minka (2000), "Estimating a
 Dirichlet distribution",
@@ -56,22 +55,15 @@ def _psi_psi1_float(v: float) -> tuple[float, float]:
     )
 
 
-def _psi_psi1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Digamma and trigamma of every element of an array, all elements > 0."""
-    both = np.array([_psi_psi1_float(v) for v in x.ravel().tolist()]).reshape(-1, 2)
-    return both[:, 0].reshape(x.shape), both[:, 1].reshape(x.shape)
+def _invert_digamma(ys: list, xs: list | None = None) -> list:
+    """Solve digamma(x) = y for each float in ``ys`` by Newton's method, to full precision.
 
-
-def _invert_digamma(y: np.ndarray) -> np.ndarray:
-    """Solve digamma(x) = y by Newton's method, to full precision; an array of y's shape.
-
-    Starts from numpy's exp(y) + 1/2 (not ``math.exp``: the bits differ) for
-    y >= -2.22 and -1/(y + euler_gamma) below; the steps run on Python floats
-    and stop together once each is at most 1e-13 of max(1, max |x|).
+    Starts from ``xs`` when given; else cold, from exp(y) + 1/2 for
+    y >= -2.22 and -1/(y + euler_gamma) below. The steps stop together once
+    each is at most 1e-13 of max(1, max |x|).
     """
-    ys = y.ravel().tolist()
-    starts = (np.exp(np.minimum(y, 700.0)) + 0.5).ravel().tolist()
-    xs = [s if v >= -2.22 else -1.0 / (v + np.euler_gamma) for v, s in zip(ys, starts)]
+    if xs is None:
+        xs = [math.exp(min(v, 700.0)) + 0.5 if v >= -2.22 else -1.0 / (v + np.euler_gamma) for v in ys]
     for _ in range(40):
         steps, new = [], []
         for x, v in zip(xs, ys):
@@ -86,7 +78,7 @@ def _invert_digamma(y: np.ndarray) -> np.ndarray:
         tol = 1e-13 * max(1.0, max(map(abs, xs), default=0.0))
         if all(step <= tol for step in steps):  # False on a NaN step
             break
-    return np.array(xs).reshape(y.shape)
+    return xs
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,11 +112,6 @@ class DirichletFit:
     @property
     def iterations(self) -> int:
         return len(self.log_likelihood_path)
-
-
-def _log_likelihood(alpha, mean_log, n_samples):
-    lgammas = sum(map(math.lgamma, alpha.tolist()))
-    return float(n_samples * (math.lgamma(alpha.sum()) - lgammas + ((alpha - 1.0) * mean_log).sum()))
 
 
 def fit_dirichlet(samples) -> DirichletFit:
@@ -170,14 +157,18 @@ def _fit(x: np.ndarray, names) -> DirichletFit:
 
     c = float(np.exp(mean_log).sum())
     s = (n_components - c) / (2.0 * (1.0 - c)) if c < 1.0 else math.inf
-    alpha = np.full(n_components, math.inf)
+    mean_log = mean_log.tolist()
+    alpha = [math.inf] * n_components
     ll_path = []
     converged = False
     while len(ll_path) < MAX_NEWTON_STEPS and 0.0 < s < math.inf:
         psi, psi1 = _psi_psi1_float(s)
-        alpha = _invert_digamma(psi + mean_log)
-        ll_path.append(_log_likelihood(alpha, mean_log, n_samples))
-        correction = (alpha.sum() - s) / (psi1 * (1.0 / _psi_psi1(alpha)[1]).sum() - 1.0)
+        # s only falls, and alpha with it: each step starts from the last one's shapes
+        alpha = _invert_digamma([psi + m for m in mean_log], alpha if ll_path else None)
+        total = sum(alpha)
+        ll_path.append(n_samples * (math.lgamma(total) + sum(
+            (a - 1.0) * m - math.lgamma(a) for a, m in zip(alpha, mean_log))))
+        correction = (total - s) / (psi1 * sum(1.0 / _psi_psi1_float(a)[1] for a in alpha) - 1.0)
         # exact iterates only fall, so a correction that would raise s is
         # rounding at the root: the total is as settled as it can get
         if correction <= 1e-12 * s:
@@ -185,5 +176,5 @@ def _fit(x: np.ndarray, names) -> DirichletFit:
             break
         s -= correction
     return DirichletFit(
-        alpha=alpha, converged=converged, log_likelihood_path=np.asarray(ll_path), clamped=clamped
+        alpha=np.array(alpha), converged=converged, log_likelihood_path=np.array(ll_path), clamped=clamped
     )

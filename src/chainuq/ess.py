@@ -16,7 +16,7 @@ import numpy as np
 
 from .dirichlet import DirichletFit, _fit
 from .errors import ConfigError, EmptyChainError
-from .sampling import PosteriorDraws, _dirichlet_rows
+from .sampling import PosteriorDraws, _allocate, _dirichlet_rows
 from .summaries import _sample_stats
 
 EXCESS_RATIO = 1.5  # warn when t_eff exceeds this multiple of the iteration count
@@ -56,7 +56,7 @@ def iid_posterior(visit_counts, n_draws: int = 1000, seed: int = 0) -> IidPoster
         If the visit counts are not a vector of zeros and positive normal floats
         with a finite positive sum.
     ConfigError
-        If ``n_draws`` is below 1 or ``seed`` is negative.
+        If ``n_draws`` is below 1, ``seed`` is negative or the (I, R) draws cannot be allocated.
     """
     n = np.asarray(visit_counts, dtype=float)
     with np.errstate(over="ignore"):  # a total past DBL_MAX is rejected, not warned about
@@ -67,6 +67,7 @@ def iid_posterior(visit_counts, n_draws: int = 1000, seed: int = 0) -> IidPoster
         raise EmptyChainError("all visit counts are zero")
     if n_draws < 1 or seed < 0:
         raise ConfigError(f"n_draws must be >= 1 and seed >= 0, got {n_draws} and {seed}")
+    _allocate((n.size, n_draws), f"{n_draws} draws of {n.size} models do not fit in memory (n_draws)")
     draws = _dirichlet_rows(n, [np.random.default_rng(seed)], n_draws)
     return IidPosterior(concentrations=n, draws=draws.T)
 

@@ -172,6 +172,14 @@ def _dirichlet_rows(shapes: np.ndarray, rngs, per_rng: int) -> np.ndarray:
     return w
 
 
+def _allocate(shape, message: str) -> np.ndarray:
+    """``np.empty(shape)``, or a ConfigError with ``message`` when numpy cannot allocate it."""
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError):  # numpy raises ValueError past 2**63 bytes
+        raise ConfigError(message) from None
+
+
 def _posterior_shapes(counts: TransitionCounts, prior: PriorSpec) -> np.ndarray:
     """Dirichlet shapes of the row posteriors, with the prior-mass and zero-row guards."""
     weights = prior.resolve(counts.n_models)
@@ -268,10 +276,7 @@ def draw_posterior(
         _require_unique(shapes)
     except NoUniqueStationaryError as exc:
         raise NoUniqueStationaryError(f"draw 0: {exc}") from exc
-    try:
-        out = np.empty((n, n_draws))
-    except (MemoryError, ValueError):  # numpy raises ValueError past 2**63 bytes
-        raise ConfigError(f"{n_draws} draws of {n} models do not fit in memory (--draws)") from None
+    out = _allocate((n, n_draws), f"{n_draws} draws of {n} models do not fit in memory (--draws)")
     block = _block_draws(n)
     n_blocks = -(-n_draws // block)
     per_unit = max(1, POOL_CELLS // (block * n * n))

@@ -138,6 +138,20 @@ def test_bad_setting_fails_before_any_chain(monkeypatch, settings):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "settings, flag",
+    # 7.28 TiB of chain and 14.2 PiB of draws: numpy refuses both at once
+    [({"iterations": 10**12}, "--iterations"), ({"n_draws": 10**15}, "--draws")],
+    ids=["iterations", "draws"],
+)
+def test_unallocatable_study_fails_before_any_chain(monkeypatch, settings, flag):
+    monkeypatch.setattr(chainuq.benchmark, "generate_chain", lambda spec: pytest.fail())
+    args = {"pi_true": (0.7, 0.3), "betas": (0.0,), "iterations": 50, "replications": 1,
+            "n_draws": 20, **settings}
+    with pytest.raises(ConfigError, match=f"not fit in memory \\({flag}\\)"):
+        run_coverage_experiment(**args)
+
+
 @pytest.fixture(scope="module")
 def small_run():
     return run_coverage_experiment(

@@ -628,6 +628,20 @@ def test_bench_bad_out_exits_3_before_any_replication(tmp_path, capsys, monkeypa
     assert [p.name for p in tmp_path.iterdir()] == blocked
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    # 7.28 TiB of chain and 21.3 PiB of draws: numpy refuses both at once
+    [("--iterations", 10**12), ("--draws", 10**15)],
+)
+def test_bench_unallocatable_study_exits_3_before_any_chain(tmp_path, capsys, monkeypatch, flag, value):
+    monkeypatch.setattr("chainuq.benchmark.generate_chain", lambda spec: pytest.fail())
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", flag, str(value), "--replications", "1", "--out", "huge"]) == 3
+    err = capsys.readouterr().err
+    assert f"fit in memory ({flag})" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_smoke_writes_both_files(tmp_path, capsys):
     prefix = tmp_path / "cov"
     code = main(

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from chainuq import dirichlet as dirichlet_module
 from chainuq.benchmark import MixtureChainSpec, generate_chain
 from chainuq.chains import count_transitions
-from chainuq.dirichlet import MAX_NEWTON_STEPS, _invert_digamma, _psi_psi1, fit_dirichlet
+from chainuq.dirichlet import MAX_NEWTON_STEPS, _invert_digamma, _psi_psi1_float, fit_dirichlet
 from chainuq.errors import DegenerateSamplesError
 from chainuq.sampling import PriorSpec, _dirichlet_rows, draw_posterior
 
@@ -24,14 +24,26 @@ def euler_gamma_series_oracle(n=10_000):
     return harmonic - math.log(n) - 1.0 / (2 * n) + 1.0 / (12 * n**2) - 1.0 / (120 * n**4)
 
 
+def psi_psi1(x):
+    """Digamma and trigamma from the fit's float kernel, of a float or an array: arrays of x's shape."""
+    x = np.asarray(x, dtype=float)
+    both = np.array([_psi_psi1_float(v) for v in x.ravel().tolist()]).reshape(-1, 2)
+    return both[:, 0].reshape(x.shape), both[:, 1].reshape(x.shape)
+
+
 def psi(x):
     """Digamma from the fit's kernel, of a float or an array: an array of x's shape."""
-    return _psi_psi1(np.asarray(x, dtype=float))[0]
+    return psi_psi1(x)[0]
 
 
 def psi1(x):
     """Trigamma from the fit's kernel."""
-    return _psi_psi1(np.asarray(x, dtype=float))[1]
+    return psi_psi1(x)[1]
+
+
+def invert(y, inverse=_invert_digamma):
+    """``inverse``, a list-to-list digamma inversion, of a float or an array: an array of y's shape."""
+    return np.reshape(inverse(np.ravel(y).tolist()), np.shape(y))
 
 
 def test_digamma_at_one_is_minus_euler_gamma():
@@ -65,23 +77,23 @@ def test_trigamma_matches_high_precision_reference():
 
 
 def test_inverse_digamma_round_trip():
-    assert abs(_invert_digamma(psi(2.5)) - 2.5) <= 1e-10
+    assert abs(invert(psi(2.5)) - 2.5) <= 1e-10
 
 
 def test_inverse_digamma_round_trip_small_shape():
-    x = _invert_digamma(psi(1e-3))
+    x = invert(psi(1e-3))
     assert abs(x - 1e-3) <= 1e-8 * 1e-3
 
 
 def test_inverse_digamma_monotone_on_grid():
     ys = psi(np.geomspace(1e-3, 1e3, 1000))
-    xs = _invert_digamma(ys)
+    xs = invert(ys)
     assert np.all(np.diff(xs) > 0)
 
 
 def test_inverse_digamma_grid_round_trip():
     ys = psi(np.geomspace(1e-3, 1e3, 1000))
-    assert np.abs(psi(_invert_digamma(ys)) - ys).max() <= 1e-10
+    assert np.abs(psi(invert(ys)) - ys).max() <= 1e-10
 
 
 def test_fit_recovers_known_shapes():
@@ -144,7 +156,7 @@ def test_fit_fixed_point_self_consistency():
     fit = fit_dirichlet(samples)
     assert fit.converged
     mean_log = np.log(samples).mean(axis=0)
-    mapped = _invert_digamma(psi(fit.alpha.sum()) + mean_log)
+    mapped = invert(psi(fit.alpha.sum()) + mean_log)
     assert np.abs(mapped - fit.alpha).max() <= 1e-12
 
 
@@ -264,20 +276,26 @@ def test_fit_likelihood_path_never_decreases_on_posterior_draws(pi, iterations, 
     assert np.diff(fit.log_likelihood_path).min(initial=0.0) >= -1e-14 * scale
 
 
-def invert_digamma_on_arrays(y):
-    """The array-at-a-time Newton loop that ``_invert_digamma`` replaced: its bit-for-bit reference."""
+def invert_digamma_on_arrays(ys, xs=None):
+    """The array-at-a-time Newton loop that ``_invert_digamma`` replaced: its bit-for-bit reference.
+
+    Takes the same starts: ``xs``, or the cold start with ``math.exp``.
+    """
+    y = np.array(ys, dtype=float)
     with np.errstate(all="ignore"):
-        x = np.where(
-            y >= -2.22, np.exp(np.minimum(y, 700.0)) + 0.5, -1.0 / (y + np.euler_gamma)
+        x = np.array(xs, dtype=float) if xs is not None else np.where(
+            y >= -2.22,
+            np.array([math.exp(v) for v in np.minimum(y, 700.0).tolist()]) + 0.5,
+            -1.0 / (y + np.euler_gamma),
         )
         for _ in range(40):
-            psi, psi1 = dirichlet_module._psi_psi1(x)
+            psi, psi1 = psi_psi1(x)
             step = (psi - y) / psi1
             x_new = x - step
             x = np.where(x_new > 0, x_new, x / 2.0)
             if np.abs(step).max() <= 1e-13 * max(1.0, np.abs(x).max()):
                 break
-    return x
+    return x.tolist()
 
 
 @given(
@@ -291,9 +309,9 @@ def invert_digamma_on_arrays(y):
 # y > 709.78 overflows x to inf; a NaN beside it keeps the loop running at x = inf
 @example(np.array([[709.8, 1.0, np.nan], [1e3, -1e300, 0.0]]))
 def test_invert_digamma_matches_array_newton_bit_for_bit(y):
-    x = dirichlet_module._invert_digamma(y)
+    x = invert(y)
     assert x.shape == y.shape
-    assert np.array_equal(x, invert_digamma_on_arrays(y), equal_nan=True)
+    assert np.array_equal(x, invert(y, invert_digamma_on_arrays), equal_nan=True)
 
 
 def fit_on_arrays(samples):
@@ -329,3 +347,22 @@ def test_fit_matches_array_newton_bit_for_bit(seed, n_models, n_samples, zero_sh
 def test_fit_on_posterior_draws_matches_array_newton_bit_for_bit(pi, beta, iterations):
     samples = _posterior_draws(pi, beta, iterations)
     assert_same_fit(fit_dirichlet(samples), fit_on_arrays(samples))
+
+
+@pytest.mark.parametrize(
+    "pi, beta, iterations",
+    [((0.85, 0.13, 0.02), 0.8, 1000), (PI_50, 0.8, 20_000)],
+    ids=["I3-beta0.8", "I50-beta0.8"],
+)
+def test_fit_starts_digamma_cold_once_then_from_the_last_shapes(pi, beta, iterations):
+    calls = []
+
+    def spy(ys, xs=None):
+        calls.append((xs, _invert_digamma(ys, xs)))
+        return calls[-1][1]
+
+    with mock.patch.object(dirichlet_module, "_invert_digamma", spy):
+        fit = fit_dirichlet(_posterior_draws(pi, beta, iterations))
+    assert fit.iterations == len(calls) >= 2
+    assert calls[0][0] is None
+    assert all(xs is last for (xs, _), (_, last) in zip(calls[1:], calls))

@@ -77,6 +77,11 @@ class TestIidPosterior:
         with pytest.raises(ConfigError, match="n_draws must be >= 1 and seed >= 0"):
             iid_posterior([8, 2], n_draws=n_draws, seed=seed)
 
+    @pytest.mark.parametrize("n_draws", [10**15, 10**19], ids=["petabytes", "past-2**63-bytes"])
+    def test_unallocatable_draw_count_is_a_config_error(self, n_draws):
+        with pytest.raises(ConfigError, match=r"do not fit in memory \(n_draws\)"):
+            iid_posterior([8, 2], n_draws=n_draws)
+
     def test_sd_matches_beta_marginal(self):
         post = iid_posterior([8, 2], n_draws=20000, seed=3)
         expected = math.sqrt(8 * 2 / (10**2 * 11))

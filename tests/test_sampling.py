@@ -521,8 +521,8 @@ def per_block_draws(counts, n_draws, seed):
 
 @pytest.mark.parametrize("per_rng", [1, 3, 256])
 def test_dirichlet_rows_over_many_generators_stack_the_one_generator_calls(per_rng):
-    # exact zeros, shapes below one and shapes >= 1 together, so all three
-    # stream calls run and some cells are -inf before the transform
+    # exact zeros, shapes below one and shapes >= 1 together, so numpy's gamma
+    # sampler takes both its branches and some cells are exactly 0
     shapes = np.array([[0.0, 0.3, 2.5, 1.0], [4.0, 0.0, 0.0, 0.02], [0.7, 1.5, 0.0, 3.0],
                        [0.0, 0.0, 0.0, 9.0]])
     seeds = np.random.SeedSequence(11).spawn(4)
@@ -609,7 +609,7 @@ def stack_first_rows(shapes, rngs, per_rng):
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_stack_last_rows_match_the_stack_first_transform(n, matrix, n_rngs, per_rng, seed, data):
+def test_stack_last_rows_match_per_row_generator_dirichlet_draws(n, matrix, n_rngs, per_rng, seed, data):
     # the same generator calls in the same order; only the row sum's order may
     # differ, and only once a row spans 8 cells, where the reference's
     # contiguous sum turns pairwise
@@ -638,7 +638,7 @@ def test_stack_last_rows_match_the_stack_first_transform(n, matrix, n_rngs, per_
 @pytest.mark.parametrize("n_models", [2, 3, 10, 16, 47])
 def test_draws_match_a_plain_per_block_loop(n_models, n_draws):
     # below I* = 12 blocks merge into work units; at I* = 3, 7300 draws span two.
-    # Zero counts give shapes below one, so both gamma paths run.
+    # Zero counts give shapes below one, so numpy's gamma sampler takes both its branches.
     rng = np.random.default_rng(n_models)
     counts = make_counts(rng.integers(0, 5, size=(n_models, n_models)))
     draws = draw_posterior(counts, n_draws=n_draws, seed=n_draws).draws
