@@ -236,7 +236,7 @@ def _read_rows(path: Path) -> list[LabeledChain]:
             return ChainFileError(f"{path}:{reader.line_num}: {problem}")
 
         try:
-            header = next(reader, [])
+            header = next((row for row in reader if row), [])  # the first non-blank row
             label_col, iter_col, chain_col = _columns(path, header)
             key = itemgetter(label_col) if chain_col is None else itemgetter(chain_col, label_col)
             chains = {}  # raw chain_id -> ({stripped label: index}, indices, [last iteration])
@@ -324,10 +324,13 @@ def _read_plain(path: Path) -> list[LabeledChain] | None:
             if (ends - starts > limit).any():
                 return None
             keep = ends > starts  # skip blank lines
-            if header is None:
-                header = data[: ends[0]].decode("utf-8").split(",")
+            if header is None:  # the first kept line
+                if not keep.any():
+                    continue
+                h = int(np.argmax(keep))
+                header = data[starts[h] : ends[h]].decode("utf-8").split(",")
                 label_col, iter_col, chain_col = _columns(path, header)
-                keep[0] = False
+                keep[h] = False
             lf, row0, starts, ends = lf[keep], row0[keep], starts[keep], ends[keep]
             if (lf - row0 < len(header) - 1).any():
                 return None  # a short row

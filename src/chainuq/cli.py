@@ -181,45 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _clean(value):
-    """Make a report value JSON-safe: plain python types, NaN/inf -> None."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
+    """Make a report value JSON-safe: plain floats, NaN/inf -> None; containers walked."""
+    if isinstance(value, float):  # numpy's float64 is one
         value = float(value)
         return value if math.isfinite(value) else None
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_clean(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
     if isinstance(value, dict):
         return {k: _clean(v) for k, v in value.items()}
     return value
-
-
-def _check_settings(n_draws, seed, levels, k_top, declared, subsets) -> None:
-    """Reject the settings that would otherwise fail only after counting.
-
-    The messages name the CLI flag too, since ``chainuq analyze`` calls this
-    before it reads any input.
-    """
-    if n_draws < 2:
-        raise ConfigError(
-            f"n_draws must be at least 2 (--draws); the ESS fit needs two draws, got {n_draws}"
-        )
-    if seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {seed}")
-    _check_levels(levels)
-    if k_top is not None and k_top < 1:
-        raise ConfigError(f"k_top must be at least 1 (--top-k), got {k_top}")
-    _reject_repeats(declared, "declared model list")
-    subset_names = [name for name, _ in subsets]
-    if "" in subset_names:
-        raise LabelError("a subset has an empty name")
-    _reject_repeats(subset_names, "subset list")
-    for _, members in subsets:
-        _reject_repeats(tuple(members), "subset")
 
 
 def analyze_chains(
@@ -239,7 +209,8 @@ def analyze_chains(
     """Run the full pipeline on indexed chains and assemble the report dict.
 
     This is the CLI's engine, exposed so library users can produce the same
-    report without touching the filesystem. ``epsilon_text`` is the report's
+    report without touching the filesystem; ``chains`` is iterated only after
+    every setting is checked. ``epsilon_text`` is the report's
     ``epsilon_policy``; when omitted it is named from ``prior``:
     ``default_reduced``, ``fixed:<epsilon>`` or ``matrix``.
 
@@ -254,7 +225,23 @@ def analyze_chains(
         subset name is empty or repeated; or, checked after counting but
         before any draw, a Bayes-factor pair or subset names an unobserved model.
     """
-    _check_settings(n_draws, seed, levels, k_top, declared, subsets)
+    # the messages name the CLI flags too: the CLI reads no input before these checks
+    if n_draws < 2:
+        raise ConfigError(
+            f"n_draws must be at least 2 (--draws); the ESS fit needs two draws, got {n_draws}"
+        )
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
+    _check_levels(levels)
+    if k_top is not None and k_top < 1:
+        raise ConfigError(f"k_top must be at least 1 (--top-k), got {k_top}")
+    _reject_repeats(declared, "declared model list")
+    subset_names = [name for name, _ in subsets]
+    if "" in subset_names:
+        raise LabelError("a subset has an empty name")
+    _reject_repeats(subset_names, "subset list")
+    for _, members in subsets:
+        _reject_repeats(tuple(members), "subset")
     counts = merge_counts([count_transitions(c) for c in chains])
     wanted = [lab for pair in bf_pairs for lab in pair] + [lab for _, m in subsets for lab in m]
     _model_indices(counts, wanted)  # an unknown --bf or --subset label fails before any draw
@@ -280,7 +267,7 @@ def analyze_chains(
             warn("k_top_reduced", k_top=k_top, n_models=counts.n_models)
         rank_report = rank_stability(draws, k_top=k_used)
 
-    bf_results = bayes_factors(draws, bf_pairs, levels=levels) if bf_pairs else []
+    bf_results = bayes_factors(draws, bf_pairs, levels=levels)
     for bf in bf_results:
         if bf.unstable:
             warn("unstable_bayes_factor", numerator=bf.numerator, denominator=bf.denominator,
@@ -301,14 +288,12 @@ def analyze_chains(
     if ess_est.approximate:
         warn("clamped_draws")
 
-    label_index = counts.label_to_index
-    never_sampled = [lab for lab in declared if lab not in label_index]
+    never_sampled = [lab for lab in declared if lab not in counts.label_to_index]
     for lab in never_sampled:
         warn("never_sampled_model", label=lab)
 
     model_rows = []
-    for lab in counts.labels:
-        i = label_index[lab]
+    for i, lab in enumerate(counts.labels):
         row = {
             "label": str(lab),
             **_stats(summary, i),
@@ -347,7 +332,7 @@ def analyze_chains(
             "input_format": input_format,
             "epsilon_policy": epsilon_text,
             "epsilon_total_mass": draws.prior_mass,
-            "draws": n_draws,
+            "draws": int(n_draws),
             "seed": int(seed),
             "ci_levels": list(levels),
             "k_top": k_used,
@@ -499,6 +484,19 @@ def _write_output(text: str, path: str) -> None:
             fh.write(text)
 
 
+def _read_inputs(paths, input_format):
+    """Every file's chains, read on the pool when first iterated; errors in argument order."""
+    parts = map_units(lambda path: read_chain_file(path, input_format), paths)
+    for path, part in zip(paths, parts):  # a short chain is named by its file before counting
+        for k, chain in enumerate(part, 1):
+            if chain.length < 2:
+                raise InsufficientTransitionsError(
+                    f"{path}: chain {k} of {len(part)} has length {chain.length}"
+                    " and contains no transition"
+                )
+            yield chain
+
+
 def _run_analyze(args) -> int:
     # every flag is parsed before any input is read, so a bad flag exits 3 first
     seed = args.seed
@@ -509,20 +507,9 @@ def _run_analyze(args) -> int:
     subsets = [_parse_subset(s, i + 1) for i, s in enumerate(args.subset)]
     bf_pairs = [_parse_pair(p) for p in args.bf]
     declared = _parse_labels(args.declared)
-    _check_settings(args.draws, seed, levels, args.top_k, declared, subsets)
     _check_out(args.out)
-    # files are read concurrently but joined, and their errors raised, in argument order
-    parts = map_units(lambda path: read_chain_file(path, args.format), args.input)
-    for path, part in zip(args.input, parts):  # name the file before any counting
-        for k, chain in enumerate(part, 1):
-            if chain.length < 2:
-                raise InsufficientTransitionsError(
-                    f"{path}: chain {k} of {len(part)} has length {chain.length}"
-                    " and contains no transition"
-                )
-    chains = [chain for part in parts for chain in part]
     report = analyze_chains(
-        chains,
+        _read_inputs(args.input, args.format),
         prior=prior,
         n_draws=args.draws,
         seed=seed,

@@ -190,9 +190,11 @@ class SubsetSummary:
 
 
 def _reject_repeats(labels, what: str) -> None:
-    for i, lab in enumerate(labels):
-        if lab in labels[:i]:
+    seen = set()
+    for lab in labels:
+        if lab in seen:
             raise LabelError(f"{what} names {lab!r} more than once")
+        seen.add(lab)
 
 
 def subset_probability(draws: PosteriorDraws, subset, levels=DEFAULT_LEVELS) -> SubsetSummary:

@@ -253,6 +253,25 @@ def test_read_csv_error_counts_blank_lines(tmp_path):
     assert read_error(path) == f"{path}:6: iteration 3 does not follow 1 consecutively in chain ''"
 
 
+@pytest.mark.parametrize(
+    "quote, eol", [("", "\n"), ("", "\r\n"), ('"', "\r\n")], ids=["plain", "plain-crlf", "quoted-crlf"]
+)
+def test_read_csv_skips_blank_lines_before_the_header(tmp_path, quote, eol):
+    rows = [["chain_id", "iteration", "label"]]
+    rows += [[cid, str(i), lab] for cid in "ab" for i, lab in enumerate("AABBA")]
+    text = "".join(",".join(f"{quote}{field}{quote}" for field in row) + eol for row in rows)
+    bare, padded = tmp_path / "bare.csv", tmp_path / "padded.csv"
+    bare.write_bytes(text.encode())
+    padded.write_bytes((eol * 2 + text).encode())
+    assert read_as_lists(padded) == read_as_lists(bare)
+
+
+def test_read_csv_error_after_leading_blank_lines_names_the_physical_line(tmp_path):
+    path = tmp_path / "chains.csv"
+    path.write_text("\n\niteration,label\n0,A\n2,B\n", encoding="utf-8")
+    assert read_error(path) == f"{path}:5: iteration 2 does not follow 0 consecutively in chain ''"
+
+
 def test_read_csv_error_counts_lines_inside_quoted_fields(tmp_path):
     path = tmp_path / "chains.csv"
     path.write_text('iteration,label\n0,A\n1,"B\nC"\n2,\n', encoding="utf-8")
@@ -538,6 +557,16 @@ def test_read_plain_csv_long_fields_across_block_boundary(tmp_path, monkeypatch,
     forbid_csv_reader(monkeypatch)
     monkeypatch.setattr(chains_module, "_BLOCK", 64)
     assert read_as_lists(path) == expected
+
+
+def test_read_plain_csv_finds_the_header_after_a_block_of_blank_lines(tmp_path, monkeypatch):
+    bare, padded = tmp_path / "bare.csv", tmp_path / "padded.csv"
+    bare.write_bytes(sticky_csv(50).encode("utf-8"))
+    padded.write_bytes(("\n" * 100 + sticky_csv(50)).encode("utf-8"))
+    expected = read_as_lists(bare)
+    forbid_csv_reader(monkeypatch)
+    monkeypatch.setattr(chains_module, "_BLOCK", 64)  # the first block holds 65 blank lines
+    assert read_as_lists(padded) == expected
 
 
 def test_read_plain_csv_last_line_without_newline(tmp_path, monkeypatch):

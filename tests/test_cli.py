@@ -687,6 +687,44 @@ def test_bench_repeated_beta_exits_3(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_analyze_checks_each_setting_once(chain_file, capsys, monkeypatch):
+    calls = []
+    reject = chainuq.cli._reject_repeats
+    monkeypatch.setattr("chainuq.cli._reject_repeats", lambda *a: calls.append(a) or reject(*a))
+    args = ["analyze", "--input", str(chain_file), "--draws", "50", "--seed", "1"]
+    assert main(args + ["--declared", "A,B", "--subset", "s=A,B"]) == 0
+    # the declared list, the subset names and the one subset's members
+    assert len(calls) == 3
+
+
+def test_analyze_bad_out_is_named_before_a_bad_setting(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("chainuq.cli.read_chain_file", lambda *a: pytest.fail())
+    path = str(tmp_path / "missing" / "report.json")
+    assert main(["analyze", "--input", "/nonexistent.csv", "--draws", "1", "--out", path]) == 3
+    assert capsys.readouterr().err == (
+        f"chainuq: config error: --out {path!r} is a directory or lies in a missing directory\n"
+    )
+
+
+def test_analyze_chains_report_holds_plain_python_values():
+    chain = chainuq.index_chain(["A", "B", "A", "B", "B", "C", "A"])
+    report = analyze_chains(
+        [chain], prior=chainuq.PriorSpec.default(), n_draws=np.int64(300), seed=np.int64(3),
+        levels=np.array([0.1, 0.9]), k_top=np.int64(2), bf_pairs=[("A", "B")],
+        subsets=[("s", ["A", "B"])], declared=["A", "Z"],
+    )
+
+    def leaves(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            return [leaf for v in value for leaf in leaves(v)]
+        return [value]
+
+    assert {type(leaf) for leaf in leaves(report)} <= {int, float, str, bool, type(None)}
+    json.dumps(report, allow_nan=False)
+
+
 def test_analyze_negative_seed_exits_3_before_reading(capsys):
     assert main(["analyze", "--input", "/nonexistent.csv", "--seed", "-1"]) == 3
     assert "--seed must be nonnegative" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import sys
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from chainuq.errors import NonStochasticError, NoUniqueStationaryError
-from chainuq.stationary import _solve_stack, classify_support, stationary
+from chainuq.stationary import REJECTED, _solve_stack, classify_support, stationary
 
 
 def power_iteration_oracle(p, tol=1e-13, max_iter=500_000):
@@ -50,6 +52,14 @@ def test_two_state_balance_equation():
 def test_identity_has_no_unique_stationary():
     with pytest.raises(NoUniqueStationaryError):
         stationary(np.eye(2))
+
+
+def test_rejected_solve_of_one_matrix_raises(monkeypatch):
+    # the package binds the name chainuq.stationary to the function, so take the module itself
+    module = sys.modules["chainuq.stationary"]
+    monkeypatch.setattr(module, "_solve_stack", lambda p: (_solve_stack(p)[0], np.array([False])))
+    with pytest.raises(NoUniqueStationaryError, match=REJECTED):
+        stationary([[0.9, 0.1], [0.2, 0.8]])
 
 
 def test_absorbing_state():

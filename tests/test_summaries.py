@@ -12,6 +12,7 @@ from chainuq.chains import count_transitions, index_chain
 from chainuq.errors import ConfigError, LabelError
 from chainuq.sampling import PriorSpec, draw_posterior
 from chainuq.summaries import (
+    _reject_repeats,
     _sample_stats,
     bayes_factors,
     rank_stability,
@@ -169,6 +170,24 @@ class TestSubsetProbability:
         draws = make_draws(np.tile([0.5, 0.5], (5, 1)))
         with pytest.raises(LabelError, match="more than once"):
             subset_probability(draws, (1, 1))
+
+
+def test_reject_repeats_compares_each_label_in_one_pass():
+    calls = []
+
+    class Label:
+        def __init__(self, value):
+            self.value = value
+
+        def __hash__(self):
+            return hash(self.value)
+
+        def __eq__(self, other):
+            calls.append(1)
+            return self.value == other.value
+
+    _reject_repeats([Label(i) for i in range(2000)], "declared model list")
+    assert len(calls) < 2000  # a rescan of the labels before each one makes about 2 million
 
 
 class TestRankStability:
