@@ -119,7 +119,6 @@ class MethodSummary:
     mean_sd: np.ndarray
     coverage: np.ndarray
     joint_coverage: float
-    replications: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +168,7 @@ class CoverageResult:
                     "mean_posterior_sd": c.mean_sd.tolist(),
                     "coverage": c.coverage.tolist(),
                     "joint_coverage": c.joint_coverage,
-                    "replications": c.replications,
+                    "replications": self.replications,
                 }
                 for c in self.cells
             ],
@@ -203,7 +202,7 @@ class CoverageResult:
                         repr(float(c.mean_sd[comp])),
                         repr(float(c.coverage[comp])),
                         repr(c.joint_coverage),
-                        c.replications,
+                        self.replications,
                         ess_med,
                     ]
                 )
@@ -302,7 +301,6 @@ def run_coverage_experiment(
                 mean_sd=sd[m].mean(axis=0),
                 coverage=covered[m].mean(axis=0),
                 joint_coverage=float(covered[m].all(axis=1).mean()),
-                replications=replications,
             )
             for m in METHODS
         ]

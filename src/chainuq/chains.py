@@ -236,7 +236,9 @@ def _read_rows(path: Path) -> list[LabeledChain]:
             return ChainFileError(f"{path}:{reader.line_num}: {problem}")
 
         try:
-            header = next((row for row in reader if row), [])  # the first non-blank row
+            header = next((row for row in reader if row), None)  # the first non-blank row
+            if header is None:
+                raise EmptyChainError(f"{path}: no rows found")
             label_col, iter_col, chain_col = _columns(path, header)
             key = itemgetter(label_col) if chain_col is None else itemgetter(chain_col, label_col)
             chains = {}  # raw chain_id -> ({stripped label: index}, indices, [last iteration])

@@ -221,8 +221,8 @@ def analyze_chains(
         standard deviations undefined, ``seed`` is negative, ``levels`` are
         not 0 < lo < hi < 1, or ``k_top`` is below 1; checked before counting.
     LabelError
-        If ``declared`` or a subset names a model more than once, or a
-        subset name is empty or repeated; or, checked after counting but
+        If ``declared``, a subset or a Bayes-factor pair names a model twice,
+        or a subset name is empty or repeated; or, checked after counting but
         before any draw, a Bayes-factor pair or subset names an unobserved model.
     """
     # the messages name the CLI flags too: the CLI reads no input before these checks
@@ -242,6 +242,8 @@ def analyze_chains(
     _reject_repeats(subset_names, "subset list")
     for _, members in subsets:
         _reject_repeats(tuple(members), "subset")
+    for pair in bf_pairs:
+        _reject_repeats(pair, "Bayes-factor pair")
     counts = merge_counts([count_transitions(c) for c in chains])
     wanted = [lab for pair in bf_pairs for lab in pair] + [lab for _, m in subsets for lab in m]
     _model_indices(counts, wanted)  # an unknown --bf or --subset label fails before any draw

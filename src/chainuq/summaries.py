@@ -65,16 +65,22 @@ def _sample_stats(samples: np.ndarray, lo: float, hi: float) -> dict:
 
 
 @dataclass(frozen=True, eq=False)
-class UncertaintySummary:
+class _IntervalSummary:
+    """`_sample_stats` of a sample and its levels: floats for one quantity, arrays per model."""
+
+    mean: np.ndarray | float
+    sd: np.ndarray | float
+    median: np.ndarray | float
+    lower: np.ndarray | float
+    upper: np.ndarray | float
+    levels: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class UncertaintySummary(_IntervalSummary):
     """Componentwise uncertainty report for the posterior model probabilities."""
 
     labels: tuple
-    mean: np.ndarray
-    sd: np.ndarray
-    median: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    levels: tuple
     n_draws: int
 
 
@@ -94,7 +100,7 @@ def summarize(draws: PosteriorDraws, levels=DEFAULT_LEVELS) -> UncertaintySummar
 
 
 @dataclass(frozen=True, eq=False)
-class BayesFactorSummary:
+class BayesFactorSummary(_IntervalSummary):
     """Posterior summary of one evidence ratio between two models.
 
     ``samples`` holds the finite per-draw ratios; ``n_zero_denominator``
@@ -107,12 +113,6 @@ class BayesFactorSummary:
     numerator: object
     denominator: object
     samples: np.ndarray
-    mean: float
-    sd: float
-    median: float
-    lower: float
-    upper: float
-    levels: tuple
     n_zero_denominator: int
 
     @property
@@ -139,10 +139,12 @@ def bayes_factors(
     With uniform prior model probabilities the ratio of posterior
     probabilities is the evidence ratio itself; otherwise each draw is
     multiplied by the prior odds of the denominator over the numerator.
+    A pair that names one model twice raises LabelError.
     """
     lo, hi = _check_levels(levels)
     results = []
     for lab_i, lab_j in pairs:
+        _reject_repeats((lab_i, lab_j), "Bayes-factor pair")
         i, j = _model_indices(draws.source, (lab_i, lab_j))
         factor = 1.0
         if prior_model_probs is not None:
@@ -176,17 +178,11 @@ def _prior_prob(prior_model_probs: dict, lab) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class SubsetSummary:
+class SubsetSummary(_IntervalSummary):
     """Posterior summary of the total probability of a set of models."""
 
     labels: tuple
     samples: np.ndarray
-    mean: float
-    sd: float
-    median: float
-    lower: float
-    upper: float
-    levels: tuple
 
 
 def _reject_repeats(labels, what: str) -> None:

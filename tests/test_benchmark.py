@@ -166,7 +166,7 @@ class TestCoverageExperiment:
         cell = small_run.cell(0.0, "markov")
         assert cell.mean_sd.shape == (3,)
         assert np.all((0.0 <= cell.coverage) & (cell.coverage <= 1.0))
-        assert cell.replications == 20
+        assert small_run.replications == 20
 
     def test_cell_of_a_beta_not_run_raises_key_error(self, small_run):
         with pytest.raises(KeyError):

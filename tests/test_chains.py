@@ -377,11 +377,26 @@ def test_read_csv_reports_a_bad_row_before_an_unreadable_one(tmp_path, rows, lin
     assert read_error(path) == f"{path}:{line}: {message}"
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"", b"\xef\xbb\xbf", b"\n\n", b"\r\n\r\n"],
+    ids=["0-byte", "bom-only", "lf-blank-lines", "crlf-blank-lines"],
+)
+def test_read_csv_with_no_row_is_empty(tmp_path, data):
+    path = tmp_path / "chains.csv"
+    path.write_bytes(data)
+    with pytest.raises(EmptyChainError) as info:
+        read_chain_file(path)
+    assert str(info.value) == f"{path}: no rows found"
+
+
 def oracle_read_csv(path):
     """Row-by-row reference reader: (labels, indices) per chain, or the error."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
+        header = next((row for row in reader if row), None)  # the first non-blank row
+        if header is None:
+            raise EmptyChainError(f"{path}: no rows found")
         column = {name: i for i, name in enumerate(header)}
         if "label" not in column:
             raise ChainFileError(f"{path}: CSV must have a 'label' column")
@@ -434,6 +449,8 @@ FAULTS = ["empty", "blank label", "gap", "repeat", "text", "short", "long"]
 def csv_files(draw, plain=False):
     """CSV text with optional byte-order mark, chain_id/iteration columns, blank lines and faults.
 
+    Up to two line ends may come before the header, after any byte-order mark.
+
     ``plain`` files hold no quote, LF or CRLF line ends, unpadded iterations
     and multi-byte or Unicode-space-padded labels; the others go through
     ``csv.writer``, which quotes where a field needs it or everywhere.
@@ -456,7 +473,7 @@ def csv_files(draw, plain=False):
     quoting = csv.QUOTE_MINIMAL if plain else draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
     writer = csv.writer(out, lineterminator=eol, quoting=quoting)
     write = (lambda row: out.write(",".join(row) + eol)) if plain else writer.writerow
-    out.write(draw(st.sampled_from(["", "\ufeff"])))
+    out.write(draw(st.sampled_from(["", "\ufeff"])) + eol * draw(st.integers(0, 2)))
     write(header)
     for k in range(n):
         cid, fault = chains[k], faults.get(k)

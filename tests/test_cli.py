@@ -154,12 +154,13 @@ def test_malformed_input_exits_1_with_line(tmp_path, capsys, name, data, where):
         (["--subset", "s="], "subset 's=' names no models"),
         (["--subset", "s=A,A"], "subset names 'A' more than once"),
         (["--bf", "A"], "--bf expects 'numerator,denominator', got 'A'"),
+        (["--bf", "A,A"], "Bayes-factor pair names 'A' more than once"),
         (["--ci", "0.1,x"], "cannot parse --ci value '0.1,x'"),
         (["--epsilon", "default"],
          "epsilon must be 'default_reduced', 'fixed:<value>' or 'matrix:<path>', got 'default'"),
     ],
     ids=["declared-repeat", "epsilon-fixed-value", "epsilon-matrix-path", "subset-no-models",
-         "subset-repeat", "bf-one-label", "ci-value", "epsilon-default-alias"],
+         "subset-repeat", "bf-one-label", "bf-repeat", "ci-value", "epsilon-default-alias"],
 )
 def test_bad_flag_exits_3_before_reading(capsys, flag, message):
     assert main(["analyze", "--input", "/nonexistent.csv"] + flag) == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 
@@ -122,6 +123,11 @@ class TestBayesFactors:
         with pytest.raises(LabelError):
             bayes_factors(draws, [(1, 99)])
 
+    def test_pair_naming_one_model_twice_rejected(self, make_draws):
+        draws = make_draws(np.tile([0.5, 0.5], (5, 1)))
+        with pytest.raises(LabelError, match="Bayes-factor pair names 1 more than once"):
+            bayes_factors(draws, [(1, 2), (1, 1)])
+
     def test_prior_model_probs_without_the_denominator_rejected(self, make_draws):
         draws = make_draws(np.tile([0.8, 0.2], (10, 1)))
         with pytest.raises(LabelError, match="no prior model probability for 2"):
@@ -170,6 +176,19 @@ class TestSubsetProbability:
         draws = make_draws(np.tile([0.5, 0.5], (5, 1)))
         with pytest.raises(LabelError, match="more than once"):
             subset_probability(draws, (1, 1))
+
+
+def test_summaries_derive_from_one_interval_record(make_draws):
+    from chainuq.summaries import _IntervalSummary
+
+    draws = make_draws(np.tile([0.5, 0.3, 0.2], (10, 1)))
+    results = [summarize(draws), *bayes_factors(draws, [(1, 2)]), subset_probability(draws, (1, 2))]
+    assert [f.name for f in dataclasses.fields(_IntervalSummary)] == [
+        "mean", "sd", "median", "lower", "upper", "levels"
+    ]
+    for result in results:
+        assert isinstance(result, _IntervalSummary)
+        assert result.levels == (0.05, 0.95)
 
 
 def test_reject_repeats_compares_each_label_in_one_pass():
