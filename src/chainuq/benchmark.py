@@ -270,8 +270,8 @@ def run_coverage_experiment(
     cells = []
     t_eff: dict = {}
     for b_idx, (beta, spec) in enumerate(zip(betas, specs)):
-        sd = {m: np.empty((replications, n_states)) for m in METHODS}
-        covered = {m: np.empty((replications, n_states), dtype=bool) for m in METHODS}
+        sd = np.empty((len(METHODS), replications, n_states))  # (method, replication, state)
+        covered = np.empty(sd.shape, dtype=bool)
         ess_vals = np.empty(replications)
         for rep in range(replications):
             chain_seed, draw_seed, iid_seed = _derived_seeds(seed, b_idx, rep)
@@ -279,30 +279,22 @@ def run_coverage_experiment(
             counts = count_transitions(chain)
             draws = draw_posterior(counts, prior, n_draws=n_draws, seed=draw_seed)
             ess_vals[rep] = effective_sample_size(draws).t_eff
-            # labels are the 1-based state numbers; unvisited states stay 0
+            # one row of draws per (method, state), labels being the 1-based state numbers;
+            # a state the chain never visited keeps a Markov row of zeros: SD and bounds 0
             states = np.asarray(counts.labels) - 1
-            ipost = iid_posterior(np.bincount(states, counts.visits, minlength=n_states),
-                                  n_draws, iid_seed)
-            # one pass over the I* Markov models, then the n_states i.i.d. ones;
-            # each model's statistics depend on its own draws alone
-            stats = _sample_stats(np.vstack([draws.draws.T, ipost.draws.T]).T, lo, hi)
-            both = np.array([stats["sd"], stats["lower"], stats["upper"]])
-            markov = np.zeros((3, n_states))
-            markov[:, states] = both[:, : states.size]
-            iid = both[:, states.size:]
-            for m, (m_sd, m_lo, m_hi) in zip(METHODS, (markov, iid)):
-                sd[m][rep] = m_sd
-                covered[m][rep] = (m_lo <= pi) & (pi <= m_hi)
+            visits = np.bincount(states, counts.visits, minlength=n_states)
+            stack = np.zeros((len(METHODS) * n_states, n_draws))
+            stack[states] = draws.draws.T
+            stack[n_states:] = iid_posterior(visits, n_draws, iid_seed).draws.T
+            stats = {k: v.reshape(-1, n_states) for k, v in _sample_stats(stack.T, lo, hi).items()}
+            sd[:, rep] = stats["sd"]
+            covered[:, rep] = (stats["lower"] <= pi) & (pi <= stats["upper"])
         t_eff[beta] = ess_vals
         beta_cells = [
-            MethodSummary(
-                beta=beta,
-                method=m,
-                mean_sd=sd[m].mean(axis=0),
-                coverage=covered[m].mean(axis=0),
-                joint_coverage=float(covered[m].all(axis=1).mean()),
-            )
-            for m in METHODS
+            MethodSummary(beta=beta, method=m, mean_sd=sd[i].mean(axis=0),
+                          coverage=covered[i].mean(axis=0),
+                          joint_coverage=float(covered[i].all(axis=1).mean()))
+            for i, m in enumerate(METHODS)
         ]
         cells += beta_cells
         if progress is not None:

@@ -22,10 +22,12 @@ BLOCK_DRAWS = 256
 # Cap on the cells of one (I*, I*, B) block, so that large I* shrinks the
 # block instead of the memory growing as I*^2; below I* = 129 it never binds.
 BLOCK_CELLS = 1 << 22
-# Cells of a work unit: consecutive blocks share one row transform and one
-# GTH solve up to this size, since a unit per small block costs more in
-# overhead than threads save (on 2 cores, at I* <= 10). Larger blocks are a
-# unit each.
+# Cells of a work unit: consecutive blocks share one _dirichlet_rows
+# normalisation and one GTH solve up to this size, since a unit per small
+# block costs more in overhead than threads save: one replication of the
+# desk coverage study (I* = 3, R = 1000) took 2.2-2.4 ms as set and
+# 3.7-4.4 ms with a unit per block (2 shared CPUs). Larger blocks are a unit
+# each.
 POOL_CELLS = 1 << 16
 
 

@@ -203,27 +203,29 @@ class TestCoverageExperiment:
         assert len(lines) == 1 + 4 * 3  # header + cells x components
 
 
-def test_cells_match_a_plain_replication_loop():
+# the second pi has a state no chain can reach: every replication leaves it unvisited
+@pytest.mark.parametrize("pi", [PI, (0.7, 0.3, 0.0)], ids=["rare-state", "zero-state"])
+def test_cells_match_a_plain_replication_loop(pi):
     """Each cell's aggregates, recomputed state by state from the library calls."""
     betas, iterations, replications, n_draws, seed = (0.0, 0.8), 30, 8, 200, 5
     result = run_coverage_experiment(
-        PI, betas, iterations=iterations, replications=replications, n_draws=n_draws, seed=seed
+        pi, betas, iterations=iterations, replications=replications, n_draws=n_draws, seed=seed
     )
     lo, hi = DEFAULT_LEVELS
-    missed_a_state = False
+    missed = 0  # (beta, replication) cells whose chain never visits the last state
     for b_idx, beta in enumerate(betas):
         rows = {"markov": ([], []), "iid": ([], [])}  # per-replication SDs and cover flags
         t_eff = []
         for rep in range(replications):
             chain_seed, draw_seed, iid_seed = _derived_seeds(seed, b_idx, rep)
             counts = count_transitions(
-                generate_chain(MixtureChainSpec(PI, beta, iterations, seed=chain_seed))
+                generate_chain(MixtureChainSpec(pi, beta, iterations, seed=chain_seed))
             )
             draws = draw_posterior(counts, PriorSpec.default(), n_draws=n_draws, seed=draw_seed)
             summary = summarize(draws, levels=(lo, hi))
             t_eff.append(effective_sample_size(draws).t_eff)
             markov, visits = [], []
-            for state in range(1, len(PI) + 1):
+            for state in range(1, len(pi) + 1):
                 if state in counts.labels:
                     pos = counts.labels.index(state)
                     markov.append((summary.sd[pos], summary.lower[pos], summary.upper[pos]))
@@ -231,20 +233,22 @@ def test_cells_match_a_plain_replication_loop():
                 else:
                     markov.append((0.0, 0.0, 0.0))
                     visits.append(0)
-                    missed_a_state = True
+                    missed += state == len(pi)
             ipost = iid_posterior(visits, n_draws, iid_seed)
             iid = list(zip(ipost.sd(), ipost.quantile(lo), ipost.quantile(hi)))
             for method, fit in (("markov", markov), ("iid", iid)):
                 sds, flags = rows[method]
                 sds.append([sd for sd, _, _ in fit])
-                flags.append([low <= p <= high for (_, low, high), p in zip(fit, PI)])
+                flags.append([low <= p <= high for (_, low, high), p in zip(fit, pi)])
         assert np.array_equal(result.t_eff[beta], t_eff, equal_nan=True)  # NaN: one model seen
         for method, (sds, flags) in rows.items():
             cell = result.cell(beta, method)
             assert np.array_equal(cell.mean_sd, np.mean(sds, axis=0))
             assert np.array_equal(cell.coverage, np.mean(flags, axis=0))
             assert cell.joint_coverage == np.mean([all(f) for f in flags])
-    assert missed_a_state  # some short chain never visits the rare state
+    assert missed  # some short chain never visits PI's rare state
+    if pi[-1] == 0:  # and no chain visits a state of probability 0
+        assert missed == len(betas) * replications
 
 
 @pytest.mark.parametrize("cell, chain_and_markov", [
