@@ -247,7 +247,7 @@ def run_coverage_experiment(
     ConfigError
         Before the first replication, for any setting out of range
         (`MixtureChainSpec` checks ``pi_true`` and each beta), a beta named
-        twice, or a chain or (I, R) draw array that numpy cannot allocate.
+        twice, or a chain or the (2I, R) draw stack that numpy cannot allocate.
     """
     if iterations < 2 or replications < 1 or n_draws < 2:
         raise ConfigError("--iterations and --draws must be >= 2, --replications >= 1")
@@ -265,7 +265,9 @@ def run_coverage_experiment(
     specs = [MixtureChainSpec(tuple(pi), beta, iterations) for beta in betas]
     prior = PriorSpec.default()
     _allocate(iterations, f"a chain of {iterations} iterations does not fit in memory (--iterations)")
-    _allocate((n_states, n_draws), f"{n_draws} draws of {n_states} models do not fit in memory (--draws)")
+    # one row of draws per (method, state), labels being the 1-based state numbers
+    stack = _allocate((len(METHODS) * n_states, n_draws),
+                      f"{n_draws} draws of {n_states} models do not fit in memory (--draws)")
 
     cells = []
     t_eff: dict = {}
@@ -279,11 +281,9 @@ def run_coverage_experiment(
             counts = count_transitions(chain)
             draws = draw_posterior(counts, prior, n_draws=n_draws, seed=draw_seed)
             ess_vals[rep] = effective_sample_size(draws).t_eff
-            # one row of draws per (method, state), labels being the 1-based state numbers;
-            # a state the chain never visited keeps a Markov row of zeros: SD and bounds 0
             states = np.asarray(counts.labels) - 1
             visits = np.bincount(states, counts.visits, minlength=n_states)
-            stack = np.zeros((len(METHODS) * n_states, n_draws))
+            stack[:n_states] = 0.0  # an unvisited state keeps a Markov row of zeros: SD and bounds 0
             stack[states] = draws.draws.T
             stack[n_states:] = iid_posterior(visits, n_draws, iid_seed).draws.T
             stats = {k: v.reshape(-1, n_states) for k, v in _sample_stats(stack.T, lo, hi).items()}

@@ -62,12 +62,13 @@ WARNINGS = {
 }
 # report key -> attribute of a summary (per model, per Bayes factor, per subset)
 STATS = {"mean": "mean", "sd": "sd", "median": "median", "ci_lower": "lower", "ci_upper": "upper"}
+# keys of a model row's ``rank``, each the `RankReport` attribute of that name
+RANKS = ("point_rank", "mean_rank", "sd_rank", "p_rank_equals_point", "p_rank_within_top")
 
 
-def _stats(result, i=None) -> dict:
-    """The report's statistics of ``result``, of component ``i`` when given."""
-    values = [getattr(result, attr) for attr in STATS.values()]
-    return dict(zip(STATS, values if i is None else [v[i] for v in values]))
+def _stats(result) -> dict:
+    """The report's statistics of ``result``: a value each, or an array each for model rows."""
+    return {key: getattr(result, attr) for key, attr in STATS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--declared", default="", metavar="A,B",
                     help="models that could have been sampled; reported even if never seen")
     an.add_argument("--out", default="-", metavar="PATH", help="output path (default stdout)")
-    an.add_argument("--out-format", choices=("json", "csv", "text"), default="text")
+    an.add_argument("--out-format", choices=RENDERERS, default="text")
 
     be = sub.add_parser("bench", help="run the synthetic coverage study")
     be.add_argument("--pi", default="0.85,0.13,0.02", metavar="P1,P2,...",
@@ -294,32 +295,22 @@ def analyze_chains(
     for lab in never_sampled:
         warn("never_sampled_model", label=lab)
 
+    pad = [0.0] * len(never_sampled)  # a never-sampled model: every statistic 0, no visit, no rank
+    stats = {key: values.tolist() + pad for key, values in _stats(summary).items()}
+    visits = counts.visits.tolist() + [0] * len(never_sampled)
+    ranks = {} if rank_report is None else {key: getattr(rank_report, key).tolist() for key in RANKS}
     model_rows = []
-    for i, lab in enumerate(counts.labels):
+    for i, lab in enumerate(counts.labels + tuple(never_sampled)):
         row = {
             "label": str(lab),
-            **_stats(summary, i),
-            "point_estimate": summary.mean[i],  # the posterior mean
-            "visits": int(counts.visits[i]),
-            "never_sampled": False,
+            **{key: values[i] for key, values in stats.items()},
+            "point_estimate": stats["mean"][i],  # the posterior mean
+            "visits": visits[i],
+            "never_sampled": i >= counts.n_models,
         }
-        if rank_report is not None:
-            row["rank"] = {
-                "point_rank": int(rank_report.point_rank[i]),
-                "mean_rank": rank_report.mean_rank[i],
-                "sd_rank": rank_report.sd_rank[i],
-                "p_rank_equals_point": rank_report.p_rank_equals_point[i],
-                "p_rank_within_top": rank_report.p_rank_within_top[i],
-            }
+        if ranks and i < counts.n_models:
+            row["rank"] = {key: values[i] for key, values in ranks.items()}
         model_rows.append(row)
-    for lab in never_sampled:
-        model_rows.append({
-            "label": str(lab),
-            **dict.fromkeys(STATS, 0.0),
-            "point_estimate": 0.0,
-            "visits": 0,
-            "never_sampled": True,
-        })
     model_rows.sort(key=lambda row: row["label"])
     if epsilon_text is None:
         epsilon_text = "matrix" if prior.epsilon_matrix is not None else (
@@ -396,10 +387,9 @@ def _interval(row: dict) -> str:
 
 
 def render_text(report: dict) -> str:
-    lines = []
     cfg = report["config"]
     ch = report["chain"]
-    lines.append(f"chainuq {report['version']} analyze report")
+    lines = [f"chainuq {report['version']} analyze report"]
     lines.append(
         f"seed {cfg['seed']}   draws {cfg['draws']}   epsilon {cfg['epsilon_policy']}"
         f"   ci {cfg['ci_levels'][0]:g},{cfg['ci_levels'][1]:g}"
@@ -460,16 +450,21 @@ def render_csv(report: dict) -> str:
     )
     # the writer quotes labels that hold a comma, quote or line break
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["label", *STATS, "point_estimate", "visits", "never_sampled"])
+    columns = ("label", *STATS, "point_estimate", "visits", "never_sampled")
+    writer.writerow(columns)
     for row in report["models"]:
-        writer.writerow([row["label"], *(repr(row[k]) for k in (*STATS, "point_estimate")),
-                         row["visits"], row["never_sampled"]])
+        writer.writerow([repr(row[k]) if isinstance(row[k], float) else row[k] for k in columns])
     ess = report["ess"]
     t_eff = "" if ess["t_eff"] is None else repr(ess["t_eff"])
     out.write(f"# ess t_eff={t_eff} t_raw={ess['t_raw']} prior_weight={ess['prior_weight']!r}\n")
     for w in report["warnings"]:
         out.write(f"# warning {w['code']}: {w['message']}\n")
     return out.getvalue()
+
+
+# --out-format value -> renderer of the report dict
+RENDERERS = {"json": lambda report: json.dumps(report, indent=2) + "\n",
+             "csv": render_csv, "text": render_text}
 
 
 def _check_out(path: str) -> None:
@@ -524,13 +519,7 @@ def _run_analyze(args) -> int:
         inputs=args.input,
         input_format=args.format,
     )
-    if args.out_format == "json":
-        text = json.dumps(report, indent=2) + "\n"
-    elif args.out_format == "csv":
-        text = render_csv(report)
-    else:
-        text = render_text(report)
-    _write_output(text, args.out)
+    _write_output(RENDERERS[args.out_format](report), args.out)
     return 0
 
 

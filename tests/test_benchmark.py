@@ -152,6 +152,21 @@ def test_unallocatable_study_fails_before_any_chain(monkeypatch, settings, flag)
         run_coverage_experiment(**args)
 
 
+def test_unallocatable_draw_stack_fails_before_any_chain(monkeypatch):
+    # the check is the (method, state) x draw stack itself, not a smaller proxy array
+    allocate = chainuq.benchmark._allocate
+
+    def refuse_stack(shape, message):
+        if shape == (4, 20):
+            raise ConfigError(message)
+        return allocate(shape, message)
+
+    monkeypatch.setattr(chainuq.benchmark, "_allocate", refuse_stack)
+    monkeypatch.setattr(chainuq.benchmark, "generate_chain", lambda spec: pytest.fail())
+    with pytest.raises(ConfigError, match="20 draws of 2 models do not fit in memory \\(--draws\\)"):
+        run_coverage_experiment((0.7, 0.3), (0.0,), iterations=50, replications=1, n_draws=20)
+
+
 @pytest.fixture(scope="module")
 def small_run():
     return run_coverage_experiment(

@@ -12,7 +12,7 @@ import pytest
 
 import chainuq
 from chainuq import _pool, dirichlet, errors
-from chainuq.cli import STATS, WARNINGS, analyze_chains, main
+from chainuq.cli import RANKS, STATS, WARNINGS, analyze_chains, main
 from chainuq.errors import ConfigError
 
 TWO_MODELS = "A\nA\nB\nA\nB\nB\nA\nA\nB\nA\n" * 5
@@ -142,6 +142,28 @@ def test_malformed_input_exits_1_with_line(tmp_path, capsys, name, data, where):
     path.write_bytes(data)
     assert main(["analyze", "--input", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"chainuq: input error: {path}{where}")
+
+
+
+def test_sampled_and_never_sampled_rows_share_one_layout(chain_file, capsys):
+    args = ["analyze", "--input", str(chain_file), "--seed", "1", "--draws", "100", "--top-k", "2",
+            "--declared", "A,Z"]
+    rows = run_json(capsys, args)["models"]
+    keys = ["label", "mean", "sd", "median", "ci_lower", "ci_upper", "point_estimate", "visits",
+            "never_sampled"]
+    assert [row["label"] for row in rows] == ["A", "B", "Z"]
+    for row in rows[:2]:
+        assert list(row) == keys + ["rank"]
+        assert list(row["rank"]) == list(RANKS)
+        assert isinstance(row["rank"]["point_rank"], int)
+    assert list(rows[2]) == keys
+    assert all(rows[2][k] == 0 for k in keys[1:-1])  # the statistics, point estimate and visits
+    assert rows[2]["never_sampled"] is True
+
+    assert main(args + ["--out-format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "label,mean,sd,median,ci_lower,ci_upper,point_estimate,visits,never_sampled"
+    assert lines[4] == "Z,0.0,0.0,0.0,0.0,0.0,0.0,0,True"
 
 
 @pytest.mark.parametrize(
