@@ -177,35 +177,18 @@ class CoverageResult:
         }
 
     def to_csv(self) -> str:
+        """One row per cell and state, holding the JSON cell's values; floats written by ``repr``."""
+        columns = ("beta", "method", "component", "mean_posterior_sd", "coverage",
+                   "joint_coverage", "replications", "t_eff_median")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "beta",
-                "method",
-                "component",
-                "mean_posterior_sd",
-                "coverage",
-                "joint_coverage",
-                "replications",
-                "t_eff_median",
-            ]
-        )
-        for c in self.cells:
-            ess_med = repr(self.median_t_eff(c.beta)) if c.method == "markov" else ""
-            for comp in range(len(self.pi_true)):
-                writer.writerow(
-                    [
-                        repr(c.beta),
-                        c.method,
-                        comp + 1,
-                        repr(float(c.mean_sd[comp])),
-                        repr(float(c.coverage[comp])),
-                        repr(c.joint_coverage),
-                        self.replications,
-                        ess_med,
-                    ]
-                )
+        writer.writerow(columns)
+        for cell in self.to_dict()["cells"]:
+            t_eff = self.median_t_eff(cell["beta"]) if cell["method"] == "markov" else ""
+            for k, (sd, cov) in enumerate(zip(cell["mean_posterior_sd"], cell["coverage"])):
+                row = {**cell, "component": k + 1, "mean_posterior_sd": sd, "coverage": cov,
+                       "t_eff_median": t_eff}
+                writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in columns])
         return buf.getvalue()
 
     def to_json(self) -> str:

@@ -108,10 +108,7 @@ def _parse_subset(text: str, position: int) -> tuple:
         name, labels = text.split("=", 1)
     else:
         name, labels = f"subset_{position}", text
-    members = _parse_labels(labels)
-    if not members:
-        raise ConfigError(f"subset {text!r} names no models")
-    return name.strip(), members
+    return name.strip(), _parse_labels(labels)
 
 
 def _parse_pair(text: str) -> tuple:
@@ -223,8 +220,9 @@ def analyze_chains(
         not 0 < lo < hi < 1, or ``k_top`` is below 1; checked before counting.
     LabelError
         If ``declared``, a subset or a Bayes-factor pair names a model twice,
-        or a subset name is empty or repeated; or, checked after counting but
-        before any draw, a Bayes-factor pair or subset names an unobserved model.
+        a subset names no models, or a subset name is empty or repeated; or,
+        checked after counting but before any draw, a Bayes-factor pair or
+        subset names an unobserved model.
     """
     # the messages name the CLI flags too: the CLI reads no input before these checks
     if n_draws < 2:
@@ -241,7 +239,9 @@ def analyze_chains(
     if "" in subset_names:
         raise LabelError("a subset has an empty name")
     _reject_repeats(subset_names, "subset list")
-    for _, members in subsets:
+    for name, members in subsets:
+        if not members:
+            raise LabelError(f"subset {name!r} names no models")
         _reject_repeats(tuple(members), "subset")
     for pair in bf_pairs:
         _reject_repeats(pair, "Bayes-factor pair")
@@ -558,9 +558,5 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

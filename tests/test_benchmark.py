@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -213,9 +215,21 @@ class TestCoverageExperiment:
         assert small_run.median_t_eff(0.0) > small_run.median_t_eff(0.8)
 
     def test_csv_shape(self, small_run):
-        lines = small_run.to_csv().strip().splitlines()
-        assert lines[0].startswith("beta,method,component")
-        assert len(lines) == 1 + 4 * 3  # header + cells x components
+        rows = list(csv.reader(io.StringIO(small_run.to_csv())))
+        assert rows[0] == ["beta", "method", "component", "mean_posterior_sd", "coverage",
+                           "joint_coverage", "replications", "t_eff_median"]
+        assert len(rows) == 1 + 4 * 3  # header + cells x components
+        # one row per cell and state, in cell order; repr round-trips, so floats compare exactly
+        expected = [
+            (c["beta"], c["method"], k + 1, sd, cov, c["joint_coverage"], c["replications"])
+            for c in small_run.to_dict()["cells"]
+            for k, (sd, cov) in enumerate(zip(c["mean_posterior_sd"], c["coverage"]))
+        ]
+        for row, want in zip(rows[1:], expected):
+            beta, method, comp, sd, cov, joint, reps, t_eff = row
+            got = (float(beta), method, int(comp), float(sd), float(cov), float(joint), int(reps))
+            assert got == want
+            assert t_eff == (repr(small_run.median_t_eff(want[0])) if method == "markov" else "")
 
 
 # the second pi has a state no chain can reach: every replication leaves it unvisited

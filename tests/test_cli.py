@@ -173,7 +173,7 @@ def test_sampled_and_never_sampled_rows_share_one_layout(chain_file, capsys):
         (["--epsilon", "fixed:abc"], "cannot parse epsilon value in 'fixed:abc'"),
         (["--epsilon", "matrix:/nonexistent/eps.csv"],
          "cannot read epsilon matrix from '/nonexistent/eps.csv'"),
-        (["--subset", "s="], "subset 's=' names no models"),
+        (["--subset", "s="], "subset 's' names no models"),
         (["--subset", "s=A,A"], "subset names 'A' more than once"),
         (["--bf", "A"], "--bf expects 'numerator,denominator', got 'A'"),
         (["--bf", "A,A"], "Bayes-factor pair names 'A' more than once"),
@@ -279,6 +279,11 @@ def _analyze_one_model_chain(**settings):
 def test_library_rejects_bad_setting_with_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+def test_library_rejects_empty_subset_before_counting():
+    with pytest.raises(errors.LabelError, match="subset 's' names no models"):
+        _analyze_one_model_chain(subsets=[("s", [])])
 
 
 def test_empty_epsilon_matrix_is_one_config_error(chain_file, tmp_path, capsys):
