@@ -58,7 +58,7 @@ class MixtureChainSpec:
     def __post_init__(self):
         pi = np.asarray(self.pi_true, dtype=float)
         # every comparison with NaN is false, so these tests reject a NaN
-        if not (pi.ndim == 1 and pi.size and np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-9):
+        if not (pi.ndim == 1 and pi.size and (pi >= 0).all() and abs(pi.sum() - 1.0) <= 1e-9):
             raise ConfigError(
                 f"--pi must be a probability vector summing to 1 (pi_true), got {pi.tolist()}"
             )
@@ -66,7 +66,7 @@ class MixtureChainSpec:
             raise ConfigError(f"--beta-grid values must lie in [0, 1] (beta), got {self.beta!r}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        object.__setattr__(self, "pi_true", tuple(float(v) for v in pi))
+        object.__setattr__(self, "pi_true", tuple(pi.tolist()))
 
 
 def generate_chain(spec: MixtureChainSpec) -> LabeledChain:
@@ -86,13 +86,14 @@ def generate_chain(spec: MixtureChainSpec) -> LabeledChain:
     # step i repeats the state drawn at the last step <= i that did not copy
     src = np.arange(t)
     src[1:][copy] = 0
-    states = np.concatenate(([first], fresh))[np.maximum.accumulate(src)]
-    # index the states by first appearance, as index_chain would
-    values, first_seen, inverse = np.unique(states, return_index=True, return_inverse=True)
-    order = np.argsort(first_seen)
+    states = np.concatenate(([first], fresh))[np.maximum.accumulate(src, out=src)]
+    # index the states by first appearance, as index_chain would; unseen states sort last
+    seen = np.full(n_states, t)
+    np.minimum.at(seen, states, np.arange(t))
+    order = np.argsort(seen)
     return LabeledChain(
-        labels=tuple((values[order] + 1).tolist()),
-        indices=np.argsort(order)[inverse],
+        labels=tuple((order[: np.count_nonzero(seen < t)] + 1).tolist()),
+        indices=np.argsort(order)[states],
     )
 
 
@@ -245,7 +246,7 @@ def run_coverage_experiment(
     repeated = [b for i, b in enumerate(betas) if b in betas[:i]]
     if repeated:  # the study keys its cells and t_eff by beta
         raise ConfigError(f"--beta-grid names beta {repeated[0]!r} more than once")
-    specs = [MixtureChainSpec(tuple(pi), beta, iterations) for beta in betas]
+    specs = [MixtureChainSpec(pi, beta, iterations) for beta in betas]
     prior = PriorSpec.default()
     _allocate(iterations, f"a chain of {iterations} iterations does not fit in memory (--iterations)")
     # one row of draws per (method, state), labels being the 1-based state numbers
@@ -273,19 +274,18 @@ def run_coverage_experiment(
             sd[:, rep] = stats["sd"]
             covered[:, rep] = (stats["lower"] <= pi) & (pi <= stats["upper"])
         t_eff[beta] = ess_vals
-        beta_cells = [
-            MethodSummary(beta=beta, method=m, mean_sd=sd[i].mean(axis=0),
-                          coverage=covered[i].mean(axis=0),
-                          joint_coverage=float(covered[i].all(axis=1).mean()))
-            for i, m in enumerate(METHODS)
-        ]
+        # one reduction per statistic over the (method, replication, state) arrays;
+        # a sum over replications divided by their number is np.mean, bit for bit
+        rows = zip(METHODS, sd.sum(axis=1) / replications, covered.sum(axis=1) / replications,
+                   (covered.all(axis=2).sum(axis=1) / replications).tolist())
+        beta_cells = [MethodSummary(beta, *row) for row in rows]
         cells += beta_cells
         if progress is not None:
             progress(f"beta={beta:g}: " + ", ".join(
                 f"{c.method} coverage {np.round(c.coverage, 3).tolist()}" for c in beta_cells
             ))
     return CoverageResult(
-        pi_true=tuple(float(v) for v in pi),
+        pi_true=tuple(pi.tolist()),
         betas=betas,
         iterations=int(iterations),
         replications=int(replications),

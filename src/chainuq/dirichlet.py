@@ -144,16 +144,16 @@ def _fit(x: np.ndarray, names) -> DirichletFit:
     n_samples, n_components = x.shape
     if n_samples < 2:
         raise DegenerateSamplesError("at least two samples are required")
-    lowest, highest = x.min(axis=0), x.max(axis=0)  # NaN propagates to both
-    if not ((lowest >= 0) & (highest < math.inf)).all():
+    lowest, highest = x.min(axis=0).tolist(), x.max(axis=0).tolist()  # NaN propagates to both
+    if not all(lo >= 0 and hi < math.inf for lo, hi in zip(lowest, highest)):
         raise DegenerateSamplesError("samples must be finite and nonnegative")
-    dead = [names[i] for i in np.flatnonzero(highest < SAMPLE_CLAMP).tolist()]
+    dead = [names[i] for i, hi in enumerate(highest) if hi < SAMPLE_CLAMP]
     if dead:
         raise DegenerateSamplesError(f"component(s) {dead} are zero in every sample")
-    clamped = bool((lowest < SAMPLE_CLAMP).any())
+    clamped = any(lo < SAMPLE_CLAMP for lo in lowest)
     if clamped:
         x = np.maximum(x, SAMPLE_CLAMP)
-    mean_log = np.log(x).mean(axis=0)
+    mean_log = np.log(x).sum(axis=0) / n_samples  # np.mean's sum and division, bit for bit
 
     c = float(np.exp(mean_log).sum())
     s = (n_components - c) / (2.0 * (1.0 - c)) if c < 1.0 else math.inf

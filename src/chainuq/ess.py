@@ -61,7 +61,8 @@ def iid_posterior(visit_counts, n_draws: int = 1000, seed: int = 0) -> IidPoster
     n = np.asarray(visit_counts, dtype=float)
     with np.errstate(over="ignore"):  # a total past DBL_MAX is rejected, not warned about
         total = n.sum()
-    if n.ndim != 1 or not (np.all((n == 0) | (n >= np.finfo(float).tiny)) and total < np.inf):
+    tiny = np.finfo(float).tiny
+    if n.ndim != 1 or not (total < np.inf and all(v == 0 or v >= tiny for v in n.tolist())):
         raise EmptyChainError("visit counts must be a nonnegative vector, not subnormal, with a finite sum")
     if total <= 0:
         raise EmptyChainError("all visit counts are zero")

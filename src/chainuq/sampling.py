@@ -26,8 +26,9 @@ BLOCK_CELLS = 1 << 22
 # normalisation and one GTH solve up to this size, since a unit per small
 # block costs more in overhead than threads save: one replication of the
 # desk coverage study (I* = 3, R = 1000) took 2.2-2.4 ms as set and
-# 3.7-4.4 ms with a unit per block (2 shared CPUs). Larger blocks are a unit
-# each.
+# 3.7-4.4 ms with a unit per block (2 shared CPUs). A two-thread pool kept
+# between calls loses too: its R = 1000 draws at I* = 3 took 0.88-1.07 ms as
+# two units against 0.53-0.59 ms as one. Larger blocks are a unit each.
 POOL_CELLS = 1 << 16
 
 
@@ -186,12 +187,12 @@ def _posterior_shapes(counts: TransitionCounts, prior: PriorSpec) -> np.ndarray:
     """Dirichlet shapes of the row posteriors, with the prior-mass and zero-row guards."""
     weights = prior.resolve(counts.n_models)
     with np.errstate(over="ignore"):  # else a row's gamma variates could sum past DBL_MAX
-        if not np.isfinite(weights.sum()):
+        if not weights.sum() < np.inf:
             raise ConfigError(f"prior weights over {counts.n_models} models sum past DBL_MAX (--epsilon)")
     shapes = counts.counts + weights
-    zero_rows = np.flatnonzero(~np.any(shapes > 0, axis=1))
-    if zero_rows.size:
-        raise DegenerateRowError(counts.labels[int(zero_rows[0])])
+    live_rows = (shapes > 0).any(axis=1)
+    if not live_rows.all():
+        raise DegenerateRowError(counts.labels[int(np.argmin(live_rows))])
     return shapes
 
 

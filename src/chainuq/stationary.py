@@ -100,7 +100,7 @@ def _require_unique(support: np.ndarray) -> None:
 def _column_sums(v: np.ndarray) -> np.ndarray:
     """Sums down axis -2 of a (..., k, B) stack in row order; numpy sums a lone column pairwise."""
     if v.shape[-1] > 1:
-        return v.sum(axis=-2)
+        return np.add.reduce(v, axis=-2)
     return np.add.accumulate(v, axis=-2)[..., -1, :]
 
 
@@ -115,13 +115,14 @@ def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its relative accuracy. A zero outflow means k reaches no lower state;
     given a unique stationary distribution, the largest such k is then the
     smallest member of the closed class and all states below it are
-    transient, so that step divides by one and back substitution starts at
-    k with x[k] = 1 and exact zeros below. Back substitution sets x[k] to
-    x[:k] . a[:k, k] / s_k, scaling x[:k] down instead wherever that would
-    exceed 1, so no x overflows. Sums run in state order for every stack
-    size, so a member's bits do not depend on the stack around it. Returns
-    ``(pi, ok)``: column b of the C-contiguous (I, B) ``pi`` is valid where
-    ``ok[b]``, i.e. where its residual ``|pi P - pi|`` is within 1e-8 (NaN fails).
+    transient, so that step leaves its zero row undivided and back
+    substitution starts at k with x[k] = 1 and exact zeros below. Back
+    substitution sets x[k] to x[:k] . a[:k, k] / s_k, scaling x[:k] down
+    instead wherever that would exceed 1, so no x overflows. Sums run in
+    state order for every stack size, so a member's bits do not depend on
+    the stack around it. Returns ``(pi, ok)``: column b of the C-contiguous
+    (I, B) ``pi`` is valid where ``ok[b]``, i.e. where its residual
+    ``|pi P - pi|`` is within 1e-8 (NaN fails).
     """
     n, _, b = p.shape
     a = p.copy()
@@ -129,18 +130,22 @@ def _solve_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, 0, -1):
             s = outflow[k] = _column_sums(a[k, :k])
-            a[k, :k] /= s + (s == 0)  # a zero outflow divides by one
+            np.divide(a[k, :k], s, out=a[k, :k], where=s != 0)  # a zero outflow leaves a zero row
             a[:k, :k] += a[:k, k, None] * a[None, k, :k]
-        ks = np.arange(n)[:, None]
-        start = (ks * (outflow == 0)).max(axis=0)
-        x = (ks == start).astype(float)
-        # up to start, x[:k] is zero, and dividing by one keeps x[k] as it is
-        outflow[ks <= start] = 1.0
+        if outflow[1:].all():  # every state above 0 has outflow: all start at state 0
+            x = np.zeros((n, b))
+            x[0] = 1.0
+        else:
+            ks = np.arange(n)[:, None]
+            start = (ks * (outflow == 0)).max(axis=0)
+            x = (ks == start).astype(float)
+            # up to start, x[:k] is zero, and dividing by one keeps x[k] as it is
+            outflow[ks <= start] = 1.0
         for k in range(1, n):
             dot = _column_sums(x[:k] * a[:k, k]) + x[k]
             t = np.maximum(dot, outflow[k])
             x[:k] *= outflow[k] / t
-            x[k] = dot / t
+            np.divide(dot, t, out=x[k])
         x /= _column_sums(x)
         residual = np.abs(np.einsum("ib,ijb->jb", x, p) - x)
     return x, (residual <= RESIDUAL_TOL).all(axis=0)

@@ -40,8 +40,8 @@ def _sample_stats(samples: np.ndarray, lo: float, hi: float) -> dict:
     The quantiles come from one sort of an ``(I, R)`` copy by numpy's
     ``linear`` rule: at v = (n - 1) q, between order statistics a and b,
     a + (b - a) g with g = v - floor(v), or b - (b - a)(1 - g) if g >= 0.5.
-    Each column's max |x| is the larger end of its sorted row, NaN if any
-    entry is NaN, as ``np.abs(samples).max(axis=0)`` gives it.
+    Each column's max |x| is the larger of its sorted row's last entry and
+    its negated first, NaN if any entry is NaN, as ``np.abs(samples).max(axis=0)`` gives it.
     """
     stats = dict.fromkeys(("mean", "sd", "median", "lower", "upper"),
                           np.full(samples.shape[1:], np.nan))
@@ -50,13 +50,14 @@ def _sample_stats(samples: np.ndarray, lo: float, hi: float) -> dict:
         ordered = samples.T.copy()
         ordered.sort()
         ordered[np.isnan(ordered[..., -1])] = np.nan  # a sort puts NaN last
-        e = np.frexp(np.maximum(np.abs(ordered[..., 0]), np.abs(ordered[..., -1])))[1]
+        e = np.frexp(np.maximum(-ordered[..., 0], ordered[..., -1]))[1]
         scaled = np.ldexp(samples, -e)
         mean = scaled.sum(axis=0) / n
         stats["mean"] = np.ldexp(mean, e)
         if n > 1:
-            dev = scaled - mean
-            stats["sd"] = np.ldexp(np.sqrt((dev * dev).sum(axis=0) / (n - 1)), e)
+            scaled -= mean  # the deviations, squared in place
+            scaled *= scaled
+            stats["sd"] = np.ldexp(np.sqrt(scaled.sum(axis=0) / (n - 1)), e)
         for key, q in (("lower", lo), ("median", 0.5), ("upper", hi)):
             g, below = math.modf((n - 1) * q)
             a, b = ordered[..., int(below)], ordered[..., min(int(below) + 1, n - 1)]

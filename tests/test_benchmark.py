@@ -12,6 +12,7 @@ import scipy.stats as ss
 
 import chainuq.benchmark
 from chainuq.benchmark import (
+    METHODS,
     MixtureChainSpec,
     _derived_seeds,
     generate_chain,
@@ -88,13 +89,16 @@ class TestGenerateChain:
 
     @pytest.mark.parametrize("iterations", [1, 2, 5, 1000])
     def test_matches_step_by_step_loop(self, iterations):
-        for seed in range(200):
-            for beta in (0.0, 0.3, 0.8, 1.0):
-                spec = MixtureChainSpec(PI, beta, iterations, seed=seed)
-                got, want = generate_chain(spec), loop_chain(spec)
-                assert got.labels == want.labels
-                assert all(type(lab) is int for lab in got.labels)
-                assert np.array_equal(got.indices, want.indices)
+        # the first-appearance order skips a state of probability 0, and the rare states
+        # that come first in label order are mostly first seen after the common ones
+        for pi in (PI, (0.6, 0.0, 0.4), (0.01, 0.02, 0.03, 0.04, 0.3, 0.6)):
+            for seed in range(200):
+                for beta in (0.0, 0.3, 0.8, 1.0):
+                    spec = MixtureChainSpec(pi, beta, iterations, seed=seed)
+                    got, want = generate_chain(spec), loop_chain(spec)
+                    assert got.labels == want.labels
+                    assert all(type(lab) is int for lab in got.labels)
+                    assert np.array_equal(got.indices, want.indices)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -278,6 +282,33 @@ def test_cells_match_a_plain_replication_loop(pi):
     assert missed  # some short chain never visits PI's rare state
     if pi[-1] == 0:  # and no chain visits a state of probability 0
         assert missed == len(betas) * replications
+
+
+def test_one_replication_is_the_first_of_five(monkeypatch):
+    """A 1-replication study's t_eff and cells are those of a 5-replication study's first."""
+    args = {"pi_true": PI, "betas": (0.0, 0.8), "iterations": 200, "n_draws": 200, "seed": 9}
+    one = run_coverage_experiment(replications=1, **args)
+    stats = []  # each replication's (method x state) summaries, in run order
+    sample_stats = chainuq.benchmark._sample_stats
+    monkeypatch.setattr(chainuq.benchmark, "_sample_stats",
+                        lambda *a: stats.append(sample_stats(*a)) or stats[-1])
+    five = run_coverage_experiment(replications=5, **args)
+    assert len(stats) == 10
+    for b_idx, beta in enumerate(args["betas"]):
+        assert np.array_equal(one.t_eff[beta], five.t_eff[beta][:1])
+        # (replication, method, state) SDs and cover flags of this beta's five replications
+        reps, pis = stats[5 * b_idx: 5 * b_idx + 5], np.tile(PI, len(METHODS))
+        sd = np.array([r["sd"] for r in reps]).reshape(5, len(METHODS), -1)
+        covered = np.array([(r["lower"] <= pis) & (pis <= r["upper"]) for r in reps])
+        covered = covered.reshape(sd.shape)
+        for i, method in enumerate(METHODS):
+            first, all_five = one.cell(beta, method), five.cell(beta, method)
+            assert np.array_equal(first.mean_sd, sd[0, i])
+            assert np.array_equal(first.coverage, covered[0, i])
+            assert first.joint_coverage == covered[0, i].all()
+            assert np.array_equal(all_five.mean_sd, sd[:, i].mean(axis=0))
+            assert np.array_equal(all_five.coverage, covered[:, i].mean(axis=0))
+            assert all_five.joint_coverage == covered[:, i].all(axis=1).mean()
 
 
 @pytest.mark.parametrize("cell, chain_and_markov", [
