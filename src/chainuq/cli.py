@@ -200,17 +200,15 @@ def analyze_chains(
     subsets=(),
     bf_pairs=(),
     declared=(),
-    epsilon_text: str | None = None,
-    inputs=(),
-    input_format=None,
 ) -> dict:
     """Run the full pipeline on indexed chains and assemble the report dict.
 
     This is the CLI's engine, exposed so library users can produce the same
     report without touching the filesystem; ``chains`` is iterated only after
-    every setting is checked. ``epsilon_text`` is the report's
-    ``epsilon_policy``; when omitted it is named from ``prior``:
-    ``default_reduced``, ``fixed:<epsilon>`` or ``matrix``.
+    every setting is checked. The report's ``epsilon_policy`` names ``prior``
+    (``default_reduced``, ``fixed:<epsilon>`` or ``matrix``), ``inputs`` is
+    empty and ``input_format`` is null; the CLI fills those three keys from
+    its command line.
 
     Raises
     ------
@@ -312,18 +310,16 @@ def analyze_chains(
             row["rank"] = {key: values[i] for key, values in ranks.items()}
         model_rows.append(row)
     model_rows.sort(key=lambda row: row["label"])
-    if epsilon_text is None:
-        epsilon_text = "matrix" if prior.epsilon_matrix is not None else (
-            "default_reduced" if prior.epsilon is None else f"fixed:{prior.epsilon!r}"
-        )
 
     report = {
         "tool": "chainuq",
         "version": __version__,
         "config": {
-            "inputs": [str(p) for p in inputs],
-            "input_format": input_format,
-            "epsilon_policy": epsilon_text,
+            "inputs": [],
+            "input_format": None,
+            "epsilon_policy": "matrix" if prior.epsilon_matrix is not None else (
+                "default_reduced" if prior.epsilon is None else f"fixed:{prior.epsilon!r}"
+            ),
             "epsilon_total_mass": draws.prior_mass,
             "draws": int(n_draws),
             "seed": int(seed),
@@ -483,15 +479,18 @@ def _write_output(text: str, path: str) -> None:
 
 def _read_inputs(paths, input_format):
     """Every file's chains, read on the pool when first iterated; errors in argument order."""
-    parts = map_units(lambda path: read_chain_file(path, input_format), paths)
-    for path, part in zip(paths, parts):  # a short chain is named by its file before counting
+
+    def read(path):  # a short chain is named by its file before counting
+        part = read_chain_file(path, input_format)
         for k, chain in enumerate(part, 1):
             if chain.length < 2:
                 raise InsufficientTransitionsError(
-                    f"{path}: chain {k} of {len(part)} has length {chain.length}"
-                    " and contains no transition"
+                    f"{path}: chain {k} of {len(part)} has length {chain.length} and contains no transition"
                 )
-            yield chain
+        return part
+
+    for part in map_units(read, paths):
+        yield from part
 
 
 def _run_analyze(args) -> int:
@@ -515,10 +514,8 @@ def _run_analyze(args) -> int:
         subsets=subsets,
         bf_pairs=bf_pairs,
         declared=declared,
-        epsilon_text=args.epsilon,
-        inputs=args.input,
-        input_format=args.format,
     )
+    report["config"].update(inputs=args.input, input_format=args.format, epsilon_policy=args.epsilon)
     _write_output(RENDERERS[args.out_format](report), args.out)
     return 0
 

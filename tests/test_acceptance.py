@@ -229,7 +229,6 @@ def test_criterion_09_label_invariance():
             k_top=3,
             subsets=[("pick", subset)],
             bf_pairs=[pair],
-            epsilon_text="default_reduced",
         )
 
     original = run(raw, ("model_1", "model_2"), ["model_1", "model_3"])

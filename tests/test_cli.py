@@ -92,6 +92,15 @@ def test_first_bad_input_in_argument_order_is_reported(tmp_path, capsys, monkeyp
     assert main(["analyze", "--input", str(missing), "--input", str(early)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("chainuq: input error: ") and str(missing) in err
+    # a chain with no transition in the first file, a malformed row in the second
+    short = tmp_path / "short.csv"
+    short.write_text("chain_id,label\nc,A\n", encoding="utf-8")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("label,note\nA,x\nB\n", encoding="utf-8")
+    assert main(["analyze", "--input", str(short), "--input", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"chainuq: input error: {short}: chain 1 of 1 has length 1 and contains no transition\n"
+    )
 
 
 def test_inputs_joined_in_argument_order_for_any_worker_count(tmp_path, capsys, monkeypatch):
@@ -251,6 +260,8 @@ def test_analyze_chains_names_the_epsilon_policy_of_its_prior(prior, policy):
     chain = chainuq.index_chain(["A", "B", "A", "B", "B"])
     config = analyze_chains([chain], prior=prior, n_draws=50, seed=0)["config"]
     assert (config["epsilon_policy"], config["epsilon_total_mass"]) == (policy, 2.0)
+    # the CLI fills the keys that name its command line
+    assert (config["inputs"], config["input_format"]) == ([], None)
 
 
 def _analyze_one_model_chain(**settings):
